@@ -10,8 +10,10 @@
 ///   bench_cache [--steps N] [--qasm FILE] [--dir DIR]
 ///
 /// Workloads: the six library systems (GHZ, Bernstein–Vazirani, QFT, Grover,
-/// noisy quantum walk, bit-flip code) plus an optional QASM circuit (defaults
-/// to examples/ghz16.qasm when readable).  Results land in BENCH_cache.json:
+/// noisy quantum walk, bit-flip code) plus a QASM circuit (default: the
+/// repository's examples/ghz16.qasm, resolved at build time so the bench runs
+/// from any working directory; an unreadable file is an error, not a
+/// dropped row).  Results land in BENCH_cache.json:
 /// each workload contributes a `<name>/cold` and a `<name>/warm` record, so
 /// the JSON carries the speedup without needing a schema change.
 #include <cstring>
@@ -78,7 +80,7 @@ Measurement run_once(const Workload& w, std::size_t steps, const std::string& di
 
 int main(int argc, char** argv) {
   std::size_t steps = 64;
-  std::string qasm_path = "examples/ghz16.qasm";
+  std::string qasm_path = QTS_EXAMPLES_DIR "/ghz16.qasm";
   std::string dir;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
@@ -105,29 +107,29 @@ int main(int argc, char** argv) {
       {"qrw6-noisy", [](tdd::Manager& m) { return make_qrw_system(m, 6, 0.1, true, 0); }},
       {"bitflip", [](tdd::Manager& m) { return make_bitflip_code_system(m); }},
   };
-  // The example QASM circuit, when readable from the working directory.
+  // The example QASM circuit.
   {
     std::ifstream in(qasm_path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      const std::string source = text.str();
-      const std::string name =
-          std::filesystem::path(qasm_path).stem().string() + "-qasm";
-      // The 16-qubit example converges only after thousands of iterations;
-      // a small cap keeps the cold run honest (a real fixpoint burst) and
-      // the warm run still hits — the cap is part of the job key.
-      workloads.push_back({name, [source](tdd::Manager& m) {
-                             const circ::Circuit c = circ::from_qasm(source);
-                             const std::uint32_t n = c.num_qubits();
-                             return TransitionSystem{
-                                 n, Subspace::from_states(m, n, {ket_basis(m, n, 0)}),
-                                 {QuantumOperation{"step", {c}}}};
-                           },
-                           8});
-    } else {
-      std::cerr << "note: cannot read " << qasm_path << "; skipping the QASM workload\n";
+    if (!in) {
+      std::cerr << "error: cannot read " << qasm_path << "\n";
+      return 1;
     }
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string source = text.str();
+    const std::string name =
+        std::filesystem::path(qasm_path).stem().string() + "-qasm";
+    // The 16-qubit example's fixpoint cost explodes with the step cap; a
+    // small cap keeps the cold run a bounded fixpoint burst and the warm
+    // run still hits — the cap is part of the job key.
+    workloads.push_back({name, [source](tdd::Manager& m) {
+                           const circ::Circuit c = circ::from_qasm(source);
+                           const std::uint32_t n = c.num_qubits();
+                           return TransitionSystem{
+                               n, Subspace::from_states(m, n, {ket_basis(m, n, 0)}),
+                               {QuantumOperation{"step", {c}}}};
+                         },
+                         8});
   }
 
   std::cout << "Result-cache cold vs warm — reach fixpoint, contraction:4,4, cache dir " << dir

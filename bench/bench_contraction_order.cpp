@@ -10,8 +10,10 @@
 ///   bench_contraction_order [--steps N] [--repeats K] [--qasm FILE]
 ///
 /// Workloads: the six library systems (GHZ, Bernstein–Vazirani, QFT,
-/// Grover, noisy quantum walk, bit-flip code) plus an optional QASM circuit
-/// (defaults to examples/ghz16.qasm when readable).  Each cell is the
+/// Grover, noisy quantum walk, bit-flip code) plus a QASM circuit (default:
+/// the repository's examples/ghz16.qasm, resolved at build time so the bench
+/// runs from any working directory; an unreadable file is an error, not a
+/// dropped row).  Each cell is the
 /// minimum of K repeats — ms-scale fixpoints on a shared container need
 /// min-of-k to beat scheduler noise.  Results land in BENCH_order.json as
 /// one `<workload>/<policy>` record per cell.
@@ -90,7 +92,7 @@ Measurement best_of(const Workload& w, std::size_t steps, tn::OrderPolicy policy
 int main(int argc, char** argv) {
   std::size_t steps = 64;
   std::size_t repeats = 5;
-  std::string qasm_path = "examples/ghz16.qasm";
+  std::string qasm_path = QTS_EXAMPLES_DIR "/ghz16.qasm";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
       steps = static_cast<std::size_t>(std::atoi(argv[++i]));
@@ -118,28 +120,28 @@ int main(int argc, char** argv) {
        "contraction:4,4"},
       {"bitflip", [](tdd::Manager& m) { return make_bitflip_code_system(m); }, "basic"},
   };
-  // The example QASM circuit, when readable from the working directory.
+  // The example QASM circuit.
   {
     std::ifstream in(qasm_path);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      const std::string source = text.str();
-      const std::string name = std::filesystem::path(qasm_path).stem().string() + "-qasm";
-      // ghz16 converges only after thousands of iterations; the small cap
-      // keeps each cell a bounded multi-iteration burst.
-      workloads.push_back({name,
-                           [source](tdd::Manager& m) {
-                             const circ::Circuit c = circ::from_qasm(source);
-                             const std::uint32_t n = c.num_qubits();
-                             return TransitionSystem{
-                                 n, Subspace::from_states(m, n, {ket_basis(m, n, 0)}),
-                                 {QuantumOperation{"step", {c}}}};
-                           },
-                           "basic", 8});
-    } else {
-      std::cerr << "note: cannot read " << qasm_path << "; skipping the QASM workload\n";
+    if (!in) {
+      std::cerr << "error: cannot read " << qasm_path << "\n";
+      return 1;
     }
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::string source = text.str();
+    const std::string name = std::filesystem::path(qasm_path).stem().string() + "-qasm";
+    // ghz16's fixpoint cost explodes with the step cap; the small cap
+    // keeps each cell a bounded multi-iteration burst.
+    workloads.push_back({name,
+                         [source](tdd::Manager& m) {
+                           const circ::Circuit c = circ::from_qasm(source);
+                           const std::uint32_t n = c.num_qubits();
+                           return TransitionSystem{
+                               n, Subspace::from_states(m, n, {ket_basis(m, n, 0)}),
+                               {QuantumOperation{"step", {c}}}};
+                         },
+                         "basic", 8});
   }
 
   const tn::OrderPolicy policies[] = {tn::OrderPolicy::kCaller, tn::OrderPolicy::kGreedy,

@@ -1,9 +1,9 @@
 /// \file bench_reachability.cpp
-/// Frontier-shard thread sweep of the reachable-subspace fixpoint: the whole
-/// iteration body — imaging the frontier AND the orthogonalise-against-
-/// accumulator filtering — runs sharded across the worker pool when the
-/// engine is `parallel:<t>`, so this sweep measures the FixpointDriver's
-/// sharded path end to end, not just a single image() call.
+/// Frontier-shard thread sweep of the reachable-subspace fixpoint: with
+/// `parallel:<t>` each iteration's imaging (image_kets) is sharded across
+/// the worker pool, and the accumulator's Gram-Schmidt pass then runs on the
+/// caller's thread as for every engine — so this sweep measures the
+/// FixpointDriver end to end, not just a single image() call.
 ///
 /// Usage:
 ///   bench_reachability [--n QUBITS] [--p PROB] [--steps N]
@@ -12,9 +12,8 @@
 /// Defaults: the noisy quantum walk on a cycle (2 Kraus circuits, frontier
 /// grows to the full 2^n space), n = 6, p = 0.1, threads 1,2,4,8, inner
 /// engine contraction:4,4.  A sequential reference row (the inner engine run
-/// directly through the driver's sequential single-Gram-Schmidt path) is
-/// printed first; every parallel row reports speedup against it (or against
-/// parallel:1 when the sweep includes it).  Results land in
+/// directly through the same driver, no worker pool) is printed first; every
+/// parallel row reports speedup against it.  Results land in
 /// BENCH_reachability.json.
 #include <algorithm>
 #include <cstring>
@@ -133,19 +132,14 @@ int main(int argc, char** argv) {
               !m.ms.has_value(), m.degradations, m.table_nodes});
   };
 
-  // Sequential reference: the inner engine run directly — the driver's
-  // single-pass Gram-Schmidt path with no worker pool and no transfers.
+  // Sequential reference: the inner engine run directly, no worker pool.
+  // Every speedup is against it, so a parallel:1 row shows the pool's own
+  // overhead.
   const Measurement seq = run_once(inner, n, p, steps, timeout_s);
   report(inner, 1, seq, seq.ms);
-
-  // Speedups are reported against parallel:1 when the sweep includes it,
-  // falling back to the sequential reference otherwise.
-  std::optional<double> base_ms = seq.ms;
   for (std::size_t t : threads) {
     const std::string spec = "parallel:" + std::to_string(t) + "," + inner;
-    const Measurement m = run_once(spec, n, p, steps, timeout_s);
-    if (t == 1 && m.ms) base_ms = m.ms;
-    report(spec, t, m, base_ms);
+    report(spec, t, run_once(spec, n, p, steps, timeout_s), seq.ms);
   }
   return 0;
 }

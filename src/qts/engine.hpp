@@ -7,10 +7,10 @@
 ///   "basic"                    the §IV-C monolithic-operator algorithm
 ///   "addition:k"               the §V-A addition partition with k sliced indices
 ///   "contraction:k1,k2"        the §V-B contraction partition with cut (k1, k2)
-///   "parallel:t[,spec]"        the Kraus×basis loop sharded across t worker
+///   "parallel:t[,spec]"        the Kraus×ket loop sharded across t worker
 ///                              threads (0 = hardware concurrency), each
 ///                              running the nested sequential engine `spec`
-///                              (default contraction:4,4) on a private manager
+///                              (default contraction:4,4) on the shared manager
 ///   "statevector[:maxq]"       dense statevector backend (sim::) behind the
 ///                              same seam — frontier kets are decoded to
 ///                              2^n amplitudes, imaged densely and re-encoded;

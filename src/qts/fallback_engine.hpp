@@ -73,20 +73,18 @@ class FallbackImage final : public ImageComputer {
     observer_ = std::move(observer);
   }
 
-  Subspace image(const QuantumOperation& op, const Subspace& s) override;
+  /// Forwarded to the active element, degrading down the chain on
+  /// ResourceExhausted; the interrupted call is re-run on the next element.
+  std::vector<tdd::Edge> image_kets(std::span<const QuantumOperation> ops,
+                                    std::span<const tdd::Edge> kets, std::uint32_t n) override;
 
-  /// The chain always claims whole frontier iterations, whatever the active
-  /// element does: the FixpointDriver decides sequential-vs-claimed per
-  /// run, and a mid-run switch (say statevector -> basic) must not strand
-  /// the driver on the wrong feed.  Non-claiming actives are served by
-  /// emulating the claimed contract (sequential image_kets + accumulator-
-  /// snapshot filter) below.
+  /// Always true, whatever the active element does: image_kets forwards the
+  /// whole call rather than running the per-ket loop on this engine.
   [[nodiscard]] bool shards_frontier() const override { return true; }
 
-  std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
-                                             std::span<const tdd::Edge> frontier, std::uint32_t n,
-                                             const tdd::Edge& acc_projector,
-                                             std::size_t* shards_used) override;
+  [[nodiscard]] std::size_t shard_count(std::size_t tasks) const override {
+    return engines_[active_]->shard_count(tasks);
+  }
 
   void clear_prepared() override;
   [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
@@ -96,8 +94,8 @@ class FallbackImage final : public ImageComputer {
   void set_order_policy(tn::OrderPolicy policy) override;
 
  protected:
-  // Per-ket delegation is never reachable: the chain claims whole frontier
-  // iterations and overrides image(op, s).
+  // Per-ket delegation is never reachable: the chain forwards whole
+  // image_kets calls to its active engine.
   std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
   tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
 

@@ -128,6 +128,9 @@ FixpointDriver::Result FixpointDriver::run() {
     }
   };
 
+  std::size_t kraus_total = 0;
+  for (const auto& op : sys_.operations) kraus_total += op.kraus.size();
+
   std::size_t iters = 0;
   const std::size_t full_dim_cap =
       n >= 20 ? ~std::size_t{0} : (std::size_t{1} << n);
@@ -174,25 +177,14 @@ FixpointDriver::Result FixpointDriver::run() {
     it.gc = collect;
 
     // Imaging only the frontier is sound because T(A ∨ B) = T(A) ∨ T(B)
-    // (Proposition 1) and previously imaged vectors add nothing new.  Either
-    // path ends in the single authoritative Gram-Schmidt pass of
-    // add_states: one orthogonalisation per image vector, whose surviving
-    // residuals are the next frontier.
-    // Re-read per iteration: a fallback chain's active engine (and with it
-    // the claim) can change between iterations when a backend degrades.
-    const bool claimed = computer_.shards_frontier();
-    std::vector<Edge> candidates;
-    if (claimed) {
-      // The engine runs the whole iteration body — sharded across workers
-      // (parallel) or densely (statevector) — and pre-filters against the
-      // accumulator snapshot; only genuinely-new candidates (plus
-      // duplicates the add_states pass below dedups) come back.
-      it.shards = 0;
-      candidates = computer_.frontier_candidates(sys_, frontier, n, acc.projector(), &it.shards);
-    } else {
-      candidates = computer_.image_kets(sys_, frontier, n);
-      it.shards = 1;
-    }
+    // (Proposition 1) and previously imaged vectors add nothing new.  The
+    // single authoritative Gram-Schmidt pass of add_states then tests every
+    // image against the accumulator: one orthogonalisation per image
+    // vector, whose surviving residuals are the next frontier.
+    const std::vector<Edge> candidates = computer_.image_kets(sys_.operations, frontier, n);
+    // Read after the call: a fallback chain's active engine (and with it the
+    // shard count) can change when a backend degrades mid-call.
+    it.shards = computer_.shard_count(frontier.size() * kraus_total);
     it.candidates = candidates.size();
     std::vector<Edge> survivors = acc.add_states(candidates);
     tdd::record_peak(&ctx, acc.projector());
@@ -201,17 +193,10 @@ FixpointDriver::Result FixpointDriver::run() {
     it.acc_dim = acc.dim();
 
     if (oracle_ != nullptr) {
-      // Same iteration body, driven through the oracle's own execution path
-      // and its own accumulator/frontier.
-      std::vector<Edge> oracle_candidates;
-      if (oracle_->shards_frontier()) {
-        std::size_t oracle_shards = 0;
-        oracle_candidates = oracle_->frontier_candidates(sys_, oracle_frontier, n,
-                                                         oracle_acc.projector(), &oracle_shards);
-      } else {
-        oracle_candidates = oracle_->image_kets(sys_, oracle_frontier, n);
-      }
-      std::vector<Edge> oracle_survivors = oracle_acc.add_states(oracle_candidates);
+      // Same iteration body, driven through the oracle's own engine and its
+      // own accumulator/frontier.
+      std::vector<Edge> oracle_survivors =
+          oracle_acc.add_states(oracle_->image_kets(sys_.operations, oracle_frontier, n));
 
       if (it.frontier_dim != oracle_frontier.size()) {
         diverged("frontier dim", iters, it.frontier_dim, oracle_frontier.size());

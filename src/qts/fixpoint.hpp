@@ -4,8 +4,7 @@
 /// `reachable_space` and `check_invariant` used to carry near-duplicated
 /// frontier bookkeeping; FixpointDriver owns it once: the accumulated and
 /// frontier subspaces, GC root collection, deadline ticks, per-iteration
-/// statistics, and the choice between the sequential and the sharded
-/// execution path.  The loops on top reduce to thin policies — invariant
+/// statistics.  The loops on top reduce to thin policies — invariant
 /// checking is nothing but an early-exit predicate on each frontier
 /// survivor.
 ///
@@ -15,13 +14,12 @@
 /// residuals ARE the next frontier, carried as a bare ket family (nothing
 /// ever projects onto the frontier, so no projector is maintained for it).
 ///
-/// When the engine claims frontiers (`ImageComputer::shards_frontier` — the
-/// `parallel:<t>` engine, or a representation-changing engine like
-/// `statevector`), the whole iteration body — imaging *and* the
-/// orthogonalise-against-accumulator filtering — runs inside the engine:
-/// sharded across per-worker managers (parallel) or densely (statevector).
-/// The authoritative accumulator extension happens on the caller's thread
-/// afterwards, so the fixpoint result is independent of how the body ran.
+/// Every engine is driven the same way: `ImageComputer::image_kets` images
+/// the frontier — sequentially, sharded across workers on the shared
+/// manager (`parallel:<t>`), or in another representation (`statevector`,
+/// `sparse`) — and the accumulator extension happens on the caller's
+/// thread afterwards, so the fixpoint result is independent of how the
+/// imaging ran.
 ///
 /// With set_oracle, a second engine runs the same iteration in lockstep as a
 /// differential cross-check; dimension or survivor-count divergence throws
@@ -40,13 +38,12 @@ namespace qts {
 struct IterationStats {
   std::size_t iteration = 0;     ///< 1-based iteration number
   std::size_t frontier_dim = 0;  ///< frontier basis vectors imaged
-  /// Image vectors fed to the accumulator's Gram-Schmidt pass.  On the
-  /// sequential path this is every raw Kraus×ket image; on the sharded path
-  /// the workers' snapshot pre-filter has already dropped images inside the
-  /// accumulator, so the number is lower for the same computation.
+  /// Image vectors fed to the accumulator's Gram-Schmidt pass: every
+  /// Kraus×ket image, or the foreign-representation residuals of the seam
+  /// engines (statevector, sparse), which already span the same space.
   std::size_t candidates = 0;
   std::size_t survivors = 0;     ///< residuals that extended the accumulator
-  std::size_t shards = 0;        ///< frontier shards dispatched (1 = sequential path)
+  std::size_t shards = 0;        ///< frontier shards dispatched (1 = caller's thread)
   std::size_t acc_dim = 0;       ///< accumulated dimension after the iteration
   std::size_t live_nodes = 0;    ///< manager live nodes entering the iteration
   bool gc = false;               ///< a collection ran before this iteration's imaging
@@ -80,7 +77,7 @@ class FixpointDriver {
   /// projectors (mutual containment).  Any mismatch throws InternalError
   /// ("a library bug": two registered engines computed different images).
   /// The oracle must be built on the same manager as the primary computer;
-  /// it may be any registered engine, including frontier-claiming ones.
+  /// it may be any registered engine.
   /// The observer, history and frontier predicate see the primary run only.
   FixpointDriver& set_oracle(ImageComputer& oracle);
 

@@ -2,46 +2,37 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
-
 namespace qts {
 
 using tdd::Edge;
 using tdd::Level;
 
 Subspace ImageComputer::image(const QuantumOperation& op, const Subspace& s) {
+  const std::uint32_t n = s.num_qubits();
+  const std::vector<Edge> kets = image_kets({&op, 1}, s.basis(), n);
+  // image_kets timed the imaging; this adds the assembly on top.
   ScopedTimer timer(ctx_);
-  Subspace out(mgr_, s.num_qubits());
-  for (const auto& kraus : op.kraus) {
-    for (const auto& b : s.basis()) {
-      const Edge phi = apply_kraus(kraus, b, s.num_qubits());
-      out.add_state(phi);
-      tdd::record_peak(ctx_, out.projector());
-    }
+  Subspace out(mgr_, n);
+  for (const Edge& phi : kets) {
+    out.add_state(phi);
+    tdd::record_peak(ctx_, out.projector());
   }
   return out;
 }
 
-std::vector<Edge> ImageComputer::image_kets(const TransitionSystem& sys,
+std::vector<Edge> ImageComputer::image_kets(std::span<const QuantumOperation> ops,
                                             std::span<const Edge> kets, std::uint32_t n) {
   ScopedTimer timer(ctx_);
   std::size_t kraus_total = 0;
-  for (const auto& op : sys.operations) kraus_total += op.kraus.size();
+  for (const auto& op : ops) kraus_total += op.kraus.size();
   std::vector<Edge> out;
   out.reserve(kraus_total * kets.size());
-  for (const auto& op : sys.operations) {
+  for (const auto& op : ops) {
     for (const auto& kraus : op.kraus) {
       for (const auto& b : kets) out.push_back(apply_kraus(kraus, b, n));
     }
   }
   return out;
-}
-
-std::vector<Edge> ImageComputer::frontier_candidates(const TransitionSystem&,
-                                                     std::span<const Edge>, std::uint32_t,
-                                                     const Edge&, std::size_t*) {
-  throw InternalError("ImageComputer::frontier_candidates: engine '" + name() +
-                      "' does not shard frontier iterations (shards_frontier() is false)");
 }
 
 Edge ImageComputer::apply_kraus(const circ::Circuit& kraus, const Edge& ket,

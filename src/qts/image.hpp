@@ -45,48 +45,34 @@ class ImageComputer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// T_σ(S): the join of span{E|b⟩} over Kraus operators E and basis kets b.
-  /// Virtual so engines that shard the whole Kraus×basis loop (the parallel
-  /// engine) can replace the sequential iteration; the default runs it in
-  /// Kraus-major, basis-minor order on this computer's manager.
-  virtual Subspace image(const QuantumOperation& op, const Subspace& s);
+  /// T_σ(S): the join of span{E|b⟩} over Kraus operators E and basis kets b,
+  /// assembled from image_kets({op}, basis of S).
+  Subspace image(const QuantumOperation& op, const Subspace& s);
 
   /// T(S) = ⋁_σ T_σ(S) over every operation of the system.
   Subspace image(const TransitionSystem& sys, const Subspace& s);
 
-  /// Every raw image ket of a frontier family — op-major, Kraus-major,
-  /// ket-minor, no subspace assembly at all.  This is the FixpointDriver's
-  /// sequential feed into Subspace::add_states: the one authoritative
-  /// Gram-Schmidt pass there is the ONLY orthogonalisation any image vector
-  /// sees per iteration.  Note this entry point does not go through an
-  /// engine's image(op, s) override; frontier-sharding engines are served
-  /// by frontier_candidates instead.
-  std::vector<tdd::Edge> image_kets(const TransitionSystem& sys, std::span<const tdd::Edge> kets,
-                                    std::uint32_t n);
+  /// The one imaging hook: the image kets of `kets` under every Kraus
+  /// circuit of every operation in `ops`, op-major, Kraus-major, ket-minor,
+  /// with no subspace assembly at all.  This feeds both image() and the
+  /// FixpointDriver's single Gram-Schmidt pass (Subspace::add_states), which
+  /// is the only place any image is tested against an accumulator.  The
+  /// default applies each Kraus circuit to each ket on this computer's
+  /// manager (apply_kraus).  Overrides may shard that loop (parallel) or run
+  /// it in another representation (statevector, sparse); they return a
+  /// family with the same span, in an order that never depends on how the
+  /// work was divided.
+  virtual std::vector<tdd::Edge> image_kets(std::span<const QuantumOperation> ops,
+                                            std::span<const tdd::Edge> kets, std::uint32_t n);
 
-  /// Engines that claim a *whole frontier iteration* — imaging plus the
-  /// filtering against the accumulator — return true; the FixpointDriver
-  /// then feeds them through frontier_candidates instead of image_kets() +
-  /// Subspace::add_states.  Two kinds of engine want the whole body: the
-  /// parallel engine (to shard it across workers) and representation-
-  /// changing engines like statevector (to cross into their representation
-  /// once per iteration instead of once per Kraus application).
+  /// True when image_kets is not the per-ket apply_kraus loop (parallel,
+  /// the representation seam, fallback chains).  Callers that replay that
+  /// loop themselves, ket by ket, must refuse such engines.
   [[nodiscard]] virtual bool shards_frontier() const { return false; }
 
-  /// One whole frontier step: image every ket of the `frontier` family
-  /// through every Kraus circuit of every operation of `sys`, drop images
-  /// already inside the accumulator snapshot `acc_projector`, and return
-  /// surviving candidate kets whose span equals the span of the raw images
-  /// modulo the snapshot, in an order independent of how the work was
-  /// divided.  `shards_used`, when non-null, receives the number of shards
-  /// dispatched (1 when the body ran undivided on the caller's thread).
-  /// Only engines with shards_frontier() == true implement this; the base
-  /// class throws.
-  virtual std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
-                                                     std::span<const tdd::Edge> frontier,
-                                                     std::uint32_t n,
-                                                     const tdd::Edge& acc_projector,
-                                                     std::size_t* shards_used);
+  /// Number of shards an image_kets call over `tasks` Kraus×ket tasks is
+  /// cut into: 1 for every engine that runs the call on the caller's thread.
+  [[nodiscard]] virtual std::size_t shard_count(std::size_t /*tasks*/) const { return 1; }
 
   /// One cell of the Kraus×basis loop: apply a single Kraus circuit to a ket
   /// (preparing and caching the operator on first use) and account for it —

@@ -49,125 +49,40 @@ ParallelImage::~ParallelImage() = default;
 
 std::size_t ParallelImage::shard_count(std::size_t tasks) const {
   if (tasks == 0) return 0;
-  if (tasks <= kInlineTasks) return 1;  // run_pool(1) executes inline
-  // Floor division: every shard keeps at least kMinTasksPerShard tasks, so
-  // per-shard fork/join overhead stays amortised.
+  if (tasks <= kInlineTasks) return 1;  // one shard runs inline
+  // Floor division: every active worker averages at least kMinTasksPerShard
+  // tasks, so per-round fork/join overhead stays amortised.
   const std::size_t by_load = tasks / kMinTasksPerShard;
   return std::min(workers_.size(), by_load);
 }
 
-Subspace ParallelImage::image(const QuantumOperation& op, const Subspace& s) {
+std::vector<Edge> ParallelImage::image_kets(std::span<const QuantumOperation> ops,
+                                            std::span<const Edge> kets, std::uint32_t n) {
   ScopedTimer timer(ctx_);
-  const std::uint32_t n = s.num_qubits();
 
-  // Fix the task list in the sequential loop's order (Kraus-major,
-  // basis-minor) before any worker starts; the reduction below consumes
-  // results in exactly this order, making the output independent of the
-  // worker count and of which worker computed what.
+  // Fix the task list in image_kets' order (op-major, Kraus-major,
+  // ket-minor) before any worker starts.  Tasks are at Kraus×ket grain, so
+  // a narrow frontier meeting a wide Kraus family still keeps the pool busy
+  // (one ket × 16 noise circuits is 16 tasks).
   struct Task {
     const circ::Circuit* kraus;
     const Edge* ket;
   };
   std::vector<Task> tasks;
-  tasks.reserve(op.kraus.size() * s.basis().size());
-  for (const auto& kraus : op.kraus) {
-    for (const auto& ket : s.basis()) tasks.push_back({&kraus, &ket});
+  for (const auto& op : ops) {
+    for (const auto& kraus : op.kraus) {
+      for (const auto& ket : kets) tasks.push_back({&kraus, &ket});
+    }
   }
-
-  Subspace out(mgr_, n);
-  if (tasks.empty()) return out;
-
   // Results land straight in the shared manager — no per-worker pools, no
   // ket shipping: the input kets are immutable shared data while workers
   // run, and a result edge is valid in the parent's hands the moment its
-  // worker stores it.
+  // worker stores it.  Each result goes to its task's slot, so the output is
+  // in task order whichever worker computed what.
   std::vector<Edge> results(tasks.size());
+  if (tasks.empty()) return results;
   std::atomic<std::size_t> cursor{0};
 
-  const std::size_t active = shard_count(tasks.size());
-  run_pool(active, [&](std::size_t idx) {
-    Worker& w = *workers_[idx];
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks.size()) break;
-      results[i] = w.engine->apply_kraus(*tasks[i].kraus, *tasks[i].ket, n);
-    }
-  });
-
-  // Deterministic join: reduce in task order, mirroring the sequential loop
-  // body.
-  for (const Edge& result : results) {
-    out.add_state(result);
-    tdd::record_peak(ctx_, out.projector());
-  }
-  return out;
-}
-
-std::vector<Edge> ParallelImage::frontier_candidates(const TransitionSystem& sys,
-                                                     std::span<const Edge> kets,
-                                                     std::uint32_t n, const Edge& acc_projector,
-                                                     std::size_t* shards_used) {
-  ScopedTimer timer(ctx_);
-  if (shards_used != nullptr) *shards_used = 0;
-  if (kets.empty()) return {};
-
-  // The frontier's task list in ket-major (ket, op, Kraus) order, fixed
-  // before any worker starts.  Sharding at task grain rather than ket grain
-  // keeps the whole pool busy even when a narrow frontier meets a wide
-  // Kraus family (one ket x 16 noise circuits is 16 tasks, not 1 shard).
-  struct Task {
-    const Edge* ket;
-    const circ::Circuit* kraus;
-  };
-  std::size_t kraus_total = 0;
-  for (const auto& op : sys.operations) kraus_total += op.kraus.size();
-  std::vector<Task> tasks;
-  tasks.reserve(kets.size() * kraus_total);
-  for (const auto& ket : kets) {
-    for (const auto& op : sys.operations) {
-      for (const auto& kraus : op.kraus) tasks.push_back({&ket, &kraus});
-    }
-  }
-
-  // Contiguous balanced shards over the task list, sized adaptively: tiny
-  // rounds run inline, larger ones get one shard per kMinTasksPerShard
-  // tasks up to the worker count.
-  const std::size_t nshards = shard_count(tasks.size());
-  if (shards_used != nullptr) *shards_used = nshards;
-  std::vector<std::size_t> bounds(nshards + 1, 0);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    bounds[s + 1] = bounds[s] + tasks.size() / nshards + (s < tasks.size() % nshards ? 1 : 0);
-  }
-
-  // Per-shard survivors; every edge already lives in the shared manager.
-  std::vector<std::vector<Edge>> kept(nshards);
-
-  run_pool(nshards, [&](std::size_t s) {
-    Worker& w = *workers_[s];
-    // The accumulator projector is immutable shared data while workers run
-    // (the driver only grows it between iterations), so every shard filters
-    // against the identical diagram: a task's keep/drop verdict depends only
-    // on the projector and the task itself, never on where the shard
-    // boundaries fall — the source of the thread-count invariance.
-    for (std::size_t i = bounds[s]; i < bounds[s + 1]; ++i) {
-      const Edge phi = w.engine->apply_kraus(*tasks[i].kraus, *tasks[i].ket, n);
-      if (!Subspace::projector_contains(mgr_, acc_projector, phi, n)) kept[s].push_back(phi);
-    }
-  });
-
-  // Deterministic join: concatenating shard survivors in shard order is the
-  // task list's own (ket-major) order, whatever the worker count was.
-  std::vector<Edge> out;
-  for (std::size_t s = 0; s < nshards; ++s) {
-    for (const Edge& phi : kept[s]) {
-      out.push_back(phi);
-      tdd::record_peak(ctx_, out.back());
-    }
-  }
-  return out;
-}
-
-void ParallelImage::run_pool(std::size_t active, const std::function<void(std::size_t)>& task) {
   // Fresh context views each round: workers share this round's deadline and
   // cancel flag and start with zeroed stats (last round's were merged).
   // Assignment keeps every Worker::ctx address stable, which the worker's
@@ -189,7 +104,11 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
     // operation caches, its allocation free-list, its stats/deadline sink.
     const tdd::Manager::SlotGuard guard(*w.slot);
     try {
-      task(idx);
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= tasks.size()) break;
+        results[i] = w.engine->apply_kraus(*tasks[i].kraus, *tasks[i].ket, n);
+      }
     } catch (...) {
       // If the shared flag was already set when this worker failed, the stop
       // originated elsewhere (an external request_cancel, or a sibling that
@@ -213,6 +132,7 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
   // rounds; the threads themselves are per-round, which is noise next to the
   // Kraus applications they run.  A single-worker round skips the spawn and
   // runs inline on the calling thread — same worker state, same results.
+  const std::size_t active = shard_count(tasks.size());
   if (active == 1) {
     run_worker(0);
   } else {
@@ -244,6 +164,7 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
     if (!first_error_cancel_induced) ctx_->clear_cancel();
     std::rethrow_exception(first_error);
   }
+  return results;
 }
 
 void ParallelImage::clear_prepared() {
@@ -267,12 +188,12 @@ std::vector<Edge> ParallelImage::prepared_roots() const {
 
 std::unique_ptr<ImageComputer::Prepared> ParallelImage::prepare(const circ::Circuit&) {
   throw InternalError("ParallelImage::prepare: the parallel engine shards whole "
-                      "Kraus×basis loops; per-circuit preparation lives in its workers");
+                      "Kraus×ket loops; per-circuit preparation lives in its workers");
 }
 
 Edge ParallelImage::apply(const Prepared&, const Edge&, std::uint32_t) {
   throw InternalError("ParallelImage::apply: the parallel engine shards whole "
-                      "Kraus×basis loops; per-circuit application lives in its workers");
+                      "Kraus×ket loops; per-circuit application lives in its workers");
 }
 
 }  // namespace qts

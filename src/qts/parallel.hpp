@@ -1,23 +1,27 @@
 /// \file parallel.hpp
-/// The parallel image engine: shard the Kraus×basis loop across worker
-/// threads sharing ONE concurrent TDD manager.
+/// The parallel image engine: shard the Kraus×ket loop of image_kets across
+/// worker threads sharing ONE concurrent TDD manager.
 ///
-/// `ImageComputer::image(op, s)` is embarrassingly parallel at the
-/// Kraus×basis grain — every `apply` is independent and the results are only
-/// combined at the end.  Since the tdd::Manager became thread-safe (sharded
-/// unique table, arena node storage, per-thread operation caches),
-/// ParallelImage runs a pool of workers directly on the caller's manager:
+/// `ImageComputer::image_kets` is embarrassingly parallel at the Kraus×ket
+/// grain — every `apply_kraus` is independent.  Since the tdd::Manager is
+/// thread-safe (sharded unique table, arena node storage, per-thread
+/// operation caches), ParallelImage runs a pool of workers directly on the
+/// caller's manager:
 ///
-///   1. the task list (one task per Kraus operator × basis ket) is fixed in
-///      the sequential loop's order before any worker starts;
+///   1. the task list (one task per operation × Kraus circuit × ket, in
+///      image_kets' op-major, Kraus-major, ket-minor order) is fixed before
+///      any worker starts;
 ///   2. workers claim tasks from an atomic cursor and apply the Kraus
-///      operator in place — input kets, prepared operators and result kets
-///      all live in the one shared manager, so nothing is ever copied
-///      between node pools (`tdd::transfer` is not involved; a test pins
-///      this at zero calls);
-///   3. after all workers join, the parent reduces the result edges *in
-///      task order*, so the output subspace is bit-for-bit independent of
-///      the worker count.
+///      circuit in place — input kets, prepared operators and result kets
+///      all live in the one shared manager, so nothing is copied between
+///      node pools;
+///   3. each result lands in its task's slot, so the returned kets are in
+///      task order — bit-for-bit independent of the worker count and of
+///      which worker computed what.
+///
+/// The engine only images: the FixpointDriver's one Gram-Schmidt pass
+/// (Subspace::add_states) filters the kets against the accumulator on the
+/// caller's thread afterwards, exactly as for the sequential engines.
 ///
 /// Each worker owns a Manager::ThreadSlot (operation caches, allocation
 /// free-list, stats sink) installed via SlotGuard for the duration of a
@@ -29,15 +33,14 @@
 /// after the join.  Worker stats are merged into the parent (counters
 /// summed, peak = max).
 ///
-/// Garbage collection is not the engine's business any more: with one shared
-/// manager the driver's quiescent-point policy (manual threshold or adaptive
+/// Garbage collection is not the engine's business: with one shared manager
+/// the driver's quiescent-point policy (manual threshold or adaptive
 /// growth-rate trigger) covers worker allocations too.  Between fork/join
 /// rounds the manager is quiescent, which is exactly when the FixpointDriver
 /// collects.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,42 +64,24 @@ class ParallelImage final : public ImageComputer {
   /// Adaptive shard sizing.  A round's parallelism is derived from its task
   /// count, not fixed at one-shard-per-worker: at or below kInlineTasks the
   /// whole round runs inline on the caller's thread (a thread spawn
-  /// dominates such tiny rounds), and above it the task list is cut into
-  /// floor(tasks / kMinTasksPerShard) contiguous shards, capped at the
-  /// worker count — so a shard never holds fewer than kMinTasksPerShard
-  /// tasks and idle-worker overhead stays off narrow frontiers.  Determinism
-  /// is untouched either way: results join in task order, so shard
-  /// boundaries never show in the output.
+  /// dominates such tiny rounds), and above it floor(tasks /
+  /// kMinTasksPerShard) workers, capped at the worker count, claim tasks —
+  /// so an active worker averages at least kMinTasksPerShard tasks and
+  /// idle-worker overhead stays off narrow frontiers.  Determinism is
+  /// untouched either way: results land in task order.
   static constexpr std::size_t kInlineTasks = 4;
   static constexpr std::size_t kMinTasksPerShard = 4;
 
   /// Shards (= active workers) a round of `tasks` tasks is cut into; 0 for
   /// an empty round.
-  [[nodiscard]] std::size_t shard_count(std::size_t tasks) const;
+  [[nodiscard]] std::size_t shard_count(std::size_t tasks) const override;
 
-  using ImageComputer::image;
-  Subspace image(const QuantumOperation& op, const Subspace& s) override;
+  /// One sharded imaging round over the Kraus×ket task list (see the file
+  /// comment); returns the image kets in task order.
+  std::vector<tdd::Edge> image_kets(std::span<const QuantumOperation> ops,
+                                    std::span<const tdd::Edge> kets, std::uint32_t n) override;
 
-  /// The parallel engine also shards whole frontier iterations: the
-  /// FixpointDriver hands it the frontier and an accumulator snapshot via
-  /// frontier_candidates instead of calling image() per operation.
   [[nodiscard]] bool shards_frontier() const override { return true; }
-
-  /// One sharded frontier step.  The frontier's ket-major ket×Kraus task
-  /// list is split into contiguous balanced shards (shard_count of them)
-  /// *before* any worker starts; each worker applies its Kraus×ket tasks on
-  /// the shared manager and locally drops images already inside the
-  /// accumulator projector (Subspace::projector_contains) — the projector
-  /// needs no snapshot copy, it is immutable shared data while workers run.
-  /// Survivors are concatenated in shard order — the task list's own
-  /// ket-major order — so the result is bit-for-bit independent of the
-  /// worker count: the shard boundaries move with `threads`, but every
-  /// per-candidate value and keep/drop verdict depends only on the projector
-  /// and the task itself, never on a sibling shard.
-  std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
-                                             std::span<const tdd::Edge> frontier,
-                                             std::uint32_t n, const tdd::Edge& acc_projector,
-                                             std::size_t* shards_used) override;
 
   /// The prepared-operator caches live in the workers' inner engines (keyed
   /// on Circuit addresses, like any sequential engine's); forward the drop.
@@ -111,7 +96,7 @@ class ParallelImage final : public ImageComputer {
   [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
 
  protected:
-  // The parallel engine shards at the image level; per-circuit preparation
+  // The parallel engine shards whole image_kets calls; per-circuit preparation
   // and application live in the workers' inner engines.  Reaching these
   // indicates a library bug.
   std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
@@ -119,13 +104,6 @@ class ParallelImage final : public ImageComputer {
 
  private:
   struct Worker;
-
-  /// Run `task(worker_index)` on the first `active` workers: fresh context
-  /// views, per-round thread spawn (inline when active == 1), the worker's
-  /// ThreadSlot installed for the round, deterministic error capture with
-  /// sibling cancellation, stat merge on join, and rethrow of the first
-  /// error.  Shared by image() and frontier_candidates().
-  void run_pool(std::size_t active, const std::function<void(std::size_t)>& task);
 
   EngineSpec inner_;
   std::vector<std::unique_ptr<Worker>> workers_;

@@ -19,7 +19,7 @@
 /// registers throw ResourceExhausted instead of thrashing — the signal a
 /// fallback chain degrades on).  The spec is also
 /// accepted as a parallel inner engine ("parallel:4,statevector"): workers
-/// then drive the per-ket prepare/apply path on their private managers.
+/// then drive the per-ket prepare/apply path on the shared manager.
 ///
 /// Intended uses (ROADMAP "statevector cross-check backend"): a
 /// differential oracle for the TDD engines — see FixpointDriver::set_oracle

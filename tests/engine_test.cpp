@@ -175,7 +175,7 @@ TEST(MakeEngine, RejectsUnknownParallelInnerEngine) {
 
 TEST(MakeEngine, AcceptsStatevectorAsParallelInnerEngine) {
   // Flipped from the pre-seam EXPECT_THROW: workers can run the dense
-  // backend on their private managers.
+  // backend on the shared manager.
   tdd::Manager mgr;
   const auto spec = EngineSpec::parse("parallel:2,statevector:10");
   EXPECT_EQ(spec.inner, "statevector:10");

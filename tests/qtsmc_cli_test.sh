@@ -65,7 +65,7 @@ fi
 
 # The sparse engine works past the dense qubit cap (ghz16.qasm is 16 qubits:
 # the statevector engine refuses with the resource-exhausted code, the sparse
-# engine pays only for the two-entry support).  The full 16-qubit reach
+# engine pays only for the populated support).  The full 16-qubit reach
 # fixpoint would saturate a 2^16-dim space, so the wide checks are one-shot /
 # step-capped.
 check 0 "$QTSMC" image --engine sparse "$EXAMPLES/ghz16.qasm"

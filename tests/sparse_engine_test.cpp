@@ -8,6 +8,7 @@
 /// workloads and the shipped example QASM files.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -443,6 +444,24 @@ TEST(SparseDifferential, AgreesOnTheWideExampleQasmFile) {
   const auto got_invar = check_invariant(*sparse, sys, sys.initial, 4);
   EXPECT_EQ(got_invar.holds, expected_invar.holds);
   EXPECT_EQ(got_invar.iterations, expected_invar.iterations);
+}
+
+TEST(SparseEngine, Ghz16SupportDoublesPerReachStep) {
+  // The figure examples/ghz16.qasm states: a reach capped at k steps has
+  // dimension k + 1, and its widest orthonormal basis ket populates
+  // 2^(k-1) basis states.
+  for (std::size_t steps = 1; steps <= 8; ++steps) {
+    tdd::Manager mgr;
+    const TransitionSystem sys = system_from_qasm(mgr, "ghz16.qasm");
+    const auto sparse = make_engine(mgr, "sparse");
+    const auto r = reachable_space(*sparse, sys, steps);
+    EXPECT_EQ(r.space.dim(), steps + 1) << steps << " steps";
+    std::size_t widest = 0;
+    for (const tdd::Edge& b : r.space.basis()) {
+      widest = std::max(widest, decode_ket_sparse(b, sys.num_qubits).nonzeros());
+    }
+    EXPECT_EQ(widest, std::size_t{1} << (steps - 1)) << steps << " steps";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -306,17 +306,27 @@ TEST(Subspace, AddStatesSurvivorsAreOrthonormal) {
 }
 
 TEST(Subspace, ProjectorContainsMatchesContains) {
+  // contains() agrees with membership read off the projector directly: a
+  // unit vector lies in S iff its residual |u⟩ − P|u⟩ vanishes.
   tdd::Manager mgr;
   Prng rng(23);
   Subspace s(mgr, 3);
   for (int i = 0; i < 2; ++i) s.add_state(random_ket(mgr, rng, 3));
+  const auto residual_norm = [&](const tdd::Edge& v) {
+    const tdd::Edge u = mgr.scale(v, cplx{1.0 / norm(mgr, v, 3), 0.0});
+    return norm(mgr, mgr.add(u, mgr.scale(s.project(u), cplx{-1.0, 0.0})), 3);
+  };
   const auto inside = s.project(random_ket(mgr, rng, 3));
   const auto outside = random_ket(mgr, rng, 3);
-  EXPECT_TRUE(Subspace::projector_contains(mgr, s.projector(), inside, 3));
-  EXPECT_EQ(Subspace::projector_contains(mgr, s.projector(), outside, 3), s.contains(outside));
-  // A zero projector contains only the zero vector.
-  EXPECT_FALSE(Subspace::projector_contains(mgr, mgr.zero(), inside, 3));
-  EXPECT_TRUE(Subspace::projector_contains(mgr, mgr.zero(), mgr.zero(), 3));
+  EXPECT_LT(residual_norm(inside), kMembershipTol);
+  EXPECT_TRUE(s.contains(inside));
+  EXPECT_GT(residual_norm(outside), kMembershipTol);
+  EXPECT_FALSE(s.contains(outside));
+  // The zero subspace contains only the zero vector.
+  const Subspace empty(mgr, 3);
+  EXPECT_FALSE(empty.contains(inside));
+  EXPECT_TRUE(empty.contains(mgr.zero()));
+  EXPECT_TRUE(s.contains(mgr.zero()));
 }
 
 TEST(Subspace, FullSpaceSaturates) {

@@ -311,6 +311,22 @@ TEST(Gc, InterningAfterGcReusesFreeList) {
   EXPECT_EQ(mgr.allocated_nodes(), allocated);  // node reused, no growth
 }
 
+TEST(Gc, DeepDiagramsDoNotOverflowTheStack) {
+  // A 200k-node chain: node_count and the GC mark must both be iterative.
+  constexpr std::size_t kDepth = 200000;
+  Manager mgr;
+  Edge chain = mgr.one();
+  for (std::size_t i = kDepth; i-- > 0;) {
+    chain = mgr.make_node(static_cast<Level>(i), chain, mgr.zero());
+  }
+  EXPECT_EQ(node_count(chain), kDepth);
+
+  // Everything reachable from the chain survives the mark-sweep.
+  const std::vector<Edge> roots{chain};
+  EXPECT_EQ(mgr.gc(roots), 0u);
+  EXPECT_EQ(mgr.live_nodes(), kDepth);
+}
+
 TEST(Dot, ContainsLevelsAndWeights) {
   Manager mgr;
   const Edge e = mgr.make_node(
