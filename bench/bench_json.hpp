@@ -12,8 +12,8 @@
 ///      ...]}
 ///
 /// "degradations" counts fallback-chain backend switches during the run (0
-/// for plain engines) and "table_nodes" is the unique table's peak sampled
-/// entry count — together they tell a regression hunt whether a slow cell
+/// for plain engines) and "table_nodes" is the unique table's entry count
+/// at the end of the run — together they tell a regression hunt whether a slow cell
 /// actually ran the engine its name claims, or fell down a chain.
 ///
 /// "hardware_concurrency" records the machine the numbers came from: a
@@ -43,7 +43,7 @@ struct Record {
   std::size_t threads = 1;
   bool timeout = false;
   std::size_t degradations = 0;  ///< fallback-chain backend switches
-  std::size_t table_nodes = 0;   ///< peak sampled unique-table entries
+  std::size_t table_nodes = 0;   ///< unique-table entries at the end of the run
 };
 
 /// Collects records and writes BENCH_<bench>.json when destroyed.

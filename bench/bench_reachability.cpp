@@ -15,7 +15,6 @@
 /// directly through the same driver, no worker pool) is printed first; every
 /// parallel row reports speedup against it.  Results land in
 /// BENCH_reachability.json.
-#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -62,9 +61,7 @@ Measurement run_once(const std::string& engine_spec, std::uint32_t n, double p,
   }
   m.peak_nodes = ctx.stats().peak_nodes;
   m.degradations = ctx.stats().degradations;
-  // Workers sample the unique-table gauge as they join; sequential runs
-  // never do, so take the max with an end-of-run sample.
-  m.table_nodes = std::max(ctx.stats().table_nodes, mgr.storage_stats().table_nodes);
+  m.table_nodes = mgr.storage_stats().table_nodes;
   return m;
 }
 

@@ -14,7 +14,6 @@
 /// Defaults: n = 8 (within the dense cap so all three engines can run),
 /// p = 0.1, TDD reference engine contraction:4,4, 6-step cap, 30 s budget
 /// per cell.  Results land in BENCH_sparse.json.
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -74,9 +73,7 @@ Measurement run_once(const std::string& engine_spec, std::uint32_t n, double p,
   }
   m.peak_nodes = ctx.stats().peak_nodes;
   m.degradations = ctx.stats().degradations;
-  // Workers sample the unique-table gauge as they join; sequential runs
-  // never do, so take the max with an end-of-run sample.
-  m.table_nodes = std::max(ctx.stats().table_nodes, mgr.storage_stats().table_nodes);
+  m.table_nodes = mgr.storage_stats().table_nodes;
   return m;
 }
 

@@ -48,21 +48,10 @@ void ExecutionContext::join_worker(const ExecutionContext& worker) {
   stats_.cache_hits += w.cache_hits;
   stats_.cache_misses += w.cache_misses;
   stats_.cache_stores += w.cache_stores;
-  stats_.plans_computed += w.plans_computed;
-  stats_.plan_seconds += w.plan_seconds;
-  if (w.plan_max_width > stats_.plan_max_width) stats_.plan_max_width = w.plan_max_width;
   stats_.degradations += w.degradations;
   for (std::size_t i = 0; i < w.degradation_causes.size(); ++i) {
     stats_.degradation_causes[i] += w.degradation_causes[i];
   }
-  // Storage gauges describe the one shared manager, so max-merge them.
-  if (w.table_nodes > stats_.table_nodes) stats_.table_nodes = w.table_nodes;
-  if (w.table_load_factor > stats_.table_load_factor) {
-    stats_.table_load_factor = w.table_load_factor;
-  }
-  if (w.table_shards > stats_.table_shards) stats_.table_shards = w.table_shards;
-  if (w.arena_blocks > stats_.arena_blocks) stats_.arena_blocks = w.arena_blocks;
-  if (w.arena_capacity > stats_.arena_capacity) stats_.arena_capacity = w.arena_capacity;
 }
 
 }  // namespace qts

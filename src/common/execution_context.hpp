@@ -43,11 +43,11 @@ struct RunStats {
   std::size_t cache_misses = 0;  ///< jobs that had to run the fixpoint
   std::size_t cache_stores = 0;  ///< finished jobs recorded into the cache
 
-  // Contraction-order planner gauges (filled by tn::plan_order* — summed on
-  // join except plan_max_width, which is max-merged like peak_nodes).
-  std::size_t plans_computed = 0;  ///< contraction plans built this run
-  double plan_seconds = 0.0;       ///< wall-clock spent planning orders
-  std::size_t plan_max_width = 0;  ///< widest planned intermediate index set
+  // Retired contraction-order planner gauges: nothing writes them, and
+  // perfbench's per-layer tn.plan_* rows are their only reader.
+  std::size_t plans_computed = 0;
+  double plan_seconds = 0.0;
+  std::size_t plan_max_width = 0;
 
   // Graceful-degradation counters (filled by the fallback engine chain).
   std::size_t degradations = 0;  ///< backend switches after ResourceExhausted
@@ -56,7 +56,7 @@ struct RunStats {
 
   // Structural-audit counters (filled by the fixpoint driver and qtsmc when
   // --audit / --audit-every are armed; audits_run sums on join, audited_nodes
-  // max-merges like the other one-shared-manager gauges).
+  // max-merges like peak_nodes).
   std::size_t audits_run = 0;      ///< structural audits executed (all clean, or we threw)
   std::size_t audited_nodes = 0;   ///< most interned nodes any single audit walked
 
@@ -67,15 +67,6 @@ struct RunStats {
   std::size_t add_misses = 0;
   std::size_t cont_hits = 0;
   std::size_t cont_misses = 0;
-
-  // Shared-manager storage gauges (sampled, not accumulated: the manager
-  // copies its current shape in via Manager::sample_storage; join_worker
-  // max-merges them since every worker shares the one manager).
-  std::size_t table_nodes = 0;        ///< entries across all unique-table shards
-  double table_load_factor = 0.0;     ///< table_nodes / hash buckets
-  std::size_t table_shards = 0;       ///< lock stripes in the unique table
-  std::size_t arena_blocks = 0;       ///< node slabs allocated
-  std::size_t arena_capacity = 0;     ///< node slots across all slabs
 };
 
 /// hits / (hits + misses) as a percentage; 0 when no lookups happened.

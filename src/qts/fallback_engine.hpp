@@ -89,10 +89,6 @@ class FallbackImage final : public ImageComputer {
   void clear_prepared() override;
   [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
 
-  /// Every chain element must agree on the ordering policy, or a mid-run
-  /// degradation would silently change it.
-  void set_order_policy(tn::OrderPolicy policy) override;
-
  protected:
   // Per-ket delegation is never reachable: the chain forwards whole
   // image_kets calls to its active engine.

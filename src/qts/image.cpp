@@ -5,7 +5,6 @@
 namespace qts {
 
 using tdd::Edge;
-using tdd::Level;
 
 Subspace ImageComputer::image(const QuantumOperation& op, const Subspace& s) {
   const std::uint32_t n = s.num_qubits();
@@ -74,21 +73,13 @@ const ImageComputer::Prepared& ImageComputer::prepared_for(const circ::Circuit& 
   return *it->second;
 }
 
-ImageComputer::PushPlan ImageComputer::make_push_plan(const tn::CircuitNetwork& net,
-                                                      const std::vector<tn::Tensor>& ops) {
+ImageComputer::PushPlan ImageComputer::make_push_plan(const tn::CircuitNetwork& net) {
   PushPlan push;
   push.state = state_levels(net.num_qubits);
   push.keep = net.outputs;
   std::sort(push.keep.begin(), push.keep.end());
   push.keep.erase(std::unique(push.keep.begin(), push.keep.end()), push.keep.end());
   push.rename = tn::output_to_state_map(net);
-  if (!ops.empty()) {
-    std::vector<std::vector<Level>> index_sets;
-    index_sets.reserve(ops.size() + 1);
-    index_sets.push_back(push.state);
-    for (const auto& t : ops) index_sets.push_back(t.indices);
-    push.plan = tn::plan_order_indices(index_sets, push.keep, order_policy_, ctx_);
-  }
   return push;
 }
 
@@ -103,7 +94,7 @@ Edge ImageComputer::push_through(const tn::CircuitNetwork& net,
     tensors.reserve(ops.size() + 1);
     tensors.push_back(tn::Tensor{ket, push.state});
     tensors.insert(tensors.end(), ops.begin(), ops.end());
-    tn::Tensor out = tn::contract_network(mgr_, tensors, push.keep, ctx_, push.plan);
+    tn::Tensor out = tn::contract_network(mgr_, tensors, push.keep, ctx_);
     result = mgr_.rename(out.edge, push.rename);
   }
   return mgr_.scale(result, net.factor);
@@ -127,9 +118,9 @@ std::unique_ptr<ImageComputer::Prepared> BasicImage::prepare(const circ::Circuit
   mono->net = tn::build_network(mgr_, kraus);
   if (!mono->net.tensors.empty()) {
     const auto keep = mono->net.external_indices();
-    mono->op.push_back(tn::contract_network(mgr_, mono->net.tensors, keep, ctx_, order_policy_));
+    mono->op.push_back(tn::contract_network(mgr_, mono->net.tensors, keep, ctx_));
   }
-  mono->push = make_push_plan(mono->net, mono->op);
+  mono->push = make_push_plan(mono->net);
   mono->net.tensors.clear();
   return mono;
 }
@@ -145,7 +136,7 @@ Edge BasicImage::apply(const Prepared& prep, const Edge& ket, std::uint32_t) {
 struct AdditionImage::Parts : ImageComputer::Prepared {
   tn::CircuitNetwork net;
   std::vector<tn::Tensor> parts;  // each = one pre-contracted slice ϕ_i
-  ImageComputer::PushPlan push;   // a push is always [ket, ϕ_i]: one plan fits all
+  ImageComputer::PushPlan push;
 
   void collect_roots(std::vector<tdd::Edge>& out) const override {
     for (const auto& t : parts) out.push_back(t.edge);
@@ -160,12 +151,10 @@ std::unique_ptr<ImageComputer::Prepared> AdditionImage::prepare(const circ::Circ
     const auto keep = out->net.external_indices();
     for (const auto& slice : part.slices) {
       ctx_->check_deadline();
-      out->parts.push_back(tn::contract_network(mgr_, slice.tensors, keep, ctx_, order_policy_));
+      out->parts.push_back(tn::contract_network(mgr_, slice.tensors, keep, ctx_));
     }
   }
-  out->push = make_push_plan(
-      out->net, out->parts.empty() ? std::vector<tn::Tensor>{}
-                                   : std::vector<tn::Tensor>{out->parts.front()});
+  out->push = make_push_plan(out->net);
   out->net.tensors.clear();
   return out;
 }
@@ -202,12 +191,10 @@ std::unique_ptr<ImageComputer::Prepared> ContractionImage::prepare(const circ::C
   auto out = std::make_unique<Blocks>();
   out->net = tn::build_network(mgr_, kraus);
   if (!out->net.tensors.empty()) {
-    const auto blocks = tn::contraction_partition(mgr_, out->net, k1_, k2_, ctx_, order_policy_);
+    const auto blocks = tn::contraction_partition(mgr_, out->net, k1_, k2_, ctx_);
     for (const auto& b : blocks) out->blocks.push_back(b.tensor);
   }
-  // The planner chooses where the ket folds into the block network — for
-  // caller order it goes first, exactly the historical behaviour.
-  out->push = make_push_plan(out->net, out->blocks);
+  out->push = make_push_plan(out->net);
   out->net.tensors.clear();
   return out;
 }

@@ -100,19 +100,6 @@ class ImageComputer {
   /// parallel engine's workers).
   virtual void clear_prepared() { prepared_.clear(); }
 
-  /// Contraction-order policy (tn/order.hpp) used for every contraction
-  /// this computer performs: prepare-time pre-contractions and the cached
-  /// per-apply push plans.  Defaults to the greedy planner; kCaller restores
-  /// the historical circuit-order fold.  Changing the policy drops prepared
-  /// operators, whose cached plans embed it.  Virtual so delegating engines
-  /// (parallel workers, fallback chains) forward it to their inner engines.
-  virtual void set_order_policy(tn::OrderPolicy policy) {
-    if (policy == order_policy_) return;
-    order_policy_ = policy;
-    clear_prepared();
-  }
-  [[nodiscard]] tn::OrderPolicy order_policy() const { return order_policy_; }
-
   /// TDD roots held by the prepared-operator cache.  Long-running fixpoint
   /// loops pass these (plus their own live subspaces) to Manager::gc so the
   /// node pool stays bounded without invalidating cached operators.  Virtual
@@ -133,15 +120,13 @@ class ImageComputer {
 
   /// Everything about a push that depends only on the prepared circuit, not
   /// the ket: the canonical state levels, the sorted duplicate-free keep
-  /// set, the output→state rename map, and the contraction plan for
-  /// [ket] + ops.  Computed once in prepare() and replayed on every Kraus
-  /// application of the fixpoint — this is where the planner's cost (and
-  /// the keep sort it subsumed) is amortised away from the hot path.
+  /// set and the output→state rename map.  Computed once in prepare() and
+  /// reused on every Kraus application of the fixpoint, so the hot path
+  /// never re-sorts the keep set or rebuilds the rename map.
   struct PushPlan {
     std::vector<tdd::Level> state;                          ///< state_levels(n)
     std::vector<tdd::Level> keep;                           ///< net outputs, sorted unique
     std::vector<std::pair<tdd::Level, tdd::Level>> rename;  ///< output→state map
-    tn::ContractionPlan plan;                               ///< order for [ket] + ops
   };
 
   virtual std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) = 0;
@@ -151,14 +136,12 @@ class ImageComputer {
   virtual tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket,
                           std::uint32_t num_qubits) = 0;
 
-  /// Build the push plan for contracting [ket] + ops under this computer's
-  /// order policy (ops may be a representative — any list with the same
-  /// length and index sets plans identically).
-  PushPlan make_push_plan(const tn::CircuitNetwork& net, const std::vector<tn::Tensor>& ops);
+  /// Build the push plan for pushing a ket through `net`'s prepared operators.
+  static PushPlan make_push_plan(const tn::CircuitNetwork& net);
 
-  /// Contract ψ against extra tensors per the precomputed push plan, then
-  /// rename outputs back to the state levels and apply the circuit factor.
-  /// Shared helper for the subclasses.
+  /// Contract ψ against extra tensors, ket first, then rename outputs back
+  /// to the state levels and apply the circuit factor.  Shared helper for
+  /// the subclasses.
   tdd::Edge push_through(const tn::CircuitNetwork& net, const std::vector<tn::Tensor>& ops,
                          const tdd::Edge& ket, const PushPlan& push);
 
@@ -167,7 +150,6 @@ class ImageComputer {
   tdd::Manager& mgr_;
   ExecutionContext own_ctx_;
   ExecutionContext* ctx_;
-  tn::OrderPolicy order_policy_ = tn::OrderPolicy::kGreedy;
 
  private:
   std::unordered_map<const circ::Circuit*, std::unique_ptr<Prepared>> prepared_;

@@ -144,10 +144,7 @@ std::vector<Edge> ParallelImage::image_kets(std::span<const QuantumOperation> op
 
   // Joining the threads above is the happens-before edge that lets the
   // parent read worker stats — and lets a driver GC sweep the arena — safely.
-  for (const auto& w : workers_) {
-    mgr_.sample_storage(w->ctx.stats());
-    ctx_->join_worker(w->ctx);
-  }
+  for (const auto& w : workers_) ctx_->join_worker(w->ctx);
   std::exception_ptr first_error;
   bool first_error_cancel_induced = false;
   {
@@ -170,11 +167,6 @@ std::vector<Edge> ParallelImage::image_kets(std::span<const QuantumOperation> op
 void ParallelImage::clear_prepared() {
   ImageComputer::clear_prepared();
   for (const auto& w : workers_) w->engine->clear_prepared();
-}
-
-void ParallelImage::set_order_policy(tn::OrderPolicy policy) {
-  ImageComputer::set_order_policy(policy);
-  for (const auto& w : workers_) w->engine->set_order_policy(policy);
 }
 
 std::vector<Edge> ParallelImage::prepared_roots() const {

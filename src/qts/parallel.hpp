@@ -87,9 +87,6 @@ class ParallelImage final : public ImageComputer {
   /// on Circuit addresses, like any sequential engine's); forward the drop.
   void clear_prepared() override;
 
-  /// Contraction ordering happens inside the workers' inner engines too.
-  void set_order_policy(tn::OrderPolicy policy) override;
-
   /// Everything the workers' prepared caches keep alive in the SHARED
   /// manager, plus the base engine's own cache.  Driver GCs must see these
   /// or they would sweep live operators out from under the workers.

@@ -282,15 +282,6 @@ Manager::StorageStats Manager::storage_stats() {
   return s;
 }
 
-void Manager::sample_storage(RunStats& stats) {
-  const StorageStats s = storage_stats();
-  stats.table_nodes = s.table_nodes;
-  stats.table_load_factor = s.table_load_factor;
-  stats.table_shards = s.table_shards;
-  stats.arena_blocks = s.arena_blocks;
-  stats.arena_capacity = s.arena_capacity;
-}
-
 std::size_t node_count(const Edge& root) {
   // This runs on every record_peak call — once per Kraus application — so it
   // is hot: a reserved unordered_set (no payload) and an explicit stack

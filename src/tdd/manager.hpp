@@ -221,10 +221,6 @@ class Manager {
   };
   [[nodiscard]] StorageStats storage_stats();
 
-  /// Copy the storage gauges into a RunStats block (e.g. before printing
-  /// `qtsmc --stats`).
-  void sample_storage(RunStats& stats);
-
  private:
   friend class AuditAccess;  // read-only walks + test-only corruption hooks
 

@@ -39,11 +39,11 @@ Tensor finalize(tdd::Manager& mgr, Tensor acc, const std::vector<Level>& keep,
   return acc;
 }
 
-/// The historical left-to-right fold.  Kept as its own loop (rather than a
-/// caller-order plan fed to the executor below) so OrderPolicy::kCaller
-/// costs exactly what it always did: no plan object, no slot table.
-Tensor fold_caller_order(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
-                         const std::vector<Level>& keep, ExecutionContext* ctx) {
+}  // namespace
+
+Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
+                        const std::vector<Level>& keep, ExecutionContext* ctx) {
+  require(!tensors.empty(), "contract_network needs at least one tensor");
   // remaining[l] = number of NOT-yet-merged tensors whose index set mentions
   // l, plus one virtual use if l must be kept.
   std::unordered_map<Level, std::size_t> remaining;
@@ -72,84 +72,6 @@ Tensor fold_caller_order(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
     tdd::record_peak(ctx, acc.edge);
   }
   return finalize(mgr, std::move(acc), keep, ctx);
-}
-
-/// Replay a pairwise merge plan in SSA form: slots 0..n-1 are the inputs,
-/// step i's result becomes slot n+i, every slot is consumed exactly once.
-/// The `remaining` bookkeeping generalises the caller fold's: a live use of
-/// level l is any unconsumed slot mentioning it (plus one virtual `keep`
-/// use), and a merge sums out exactly the union indices whose live-use
-/// count hits zero once both operands retire — so a caller-order plan
-/// reproduces fold_caller_order's contract calls verbatim, and any other
-/// plan changes intermediate shapes only, never the final tensor.
-Tensor execute_plan(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
-                    const std::vector<Level>& keep, ExecutionContext* ctx,
-                    const ContractionPlan& plan) {
-  const std::size_t n = tensors.size();
-  require(plan.num_tensors == n, "contract_network: plan was built for " +
-                                     std::to_string(plan.num_tensors) + " tensors, got " +
-                                     std::to_string(n));
-  require(plan.steps.size() + 1 == n, "contract_network: plan must have exactly n-1 steps");
-
-  std::unordered_map<Level, std::size_t> remaining;
-  for (const auto& t : tensors) {
-    for (Level l : t.indices) remaining[l] += 1;
-  }
-  for (Level l : keep) remaining[l] += 1;
-
-  std::vector<Tensor> slots = tensors;
-  slots.reserve(n + plan.steps.size());
-  std::vector<bool> consumed(n + plan.steps.size(), false);
-  for (const Tensor& t : slots) tdd::record_peak(ctx, t.edge);
-
-  for (const PlanStep& step : plan.steps) {
-    if (ctx != nullptr) ctx->check_deadline();
-    require(step.lhs < slots.size() && step.rhs < slots.size() && step.lhs != step.rhs &&
-                !consumed[step.lhs] && !consumed[step.rhs],
-            "contract_network: malformed plan step");
-    consumed[step.lhs] = true;
-    consumed[step.rhs] = true;
-    const Tensor& a = slots[step.lhs];
-    const Tensor& b = slots[step.rhs];
-    for (Level l : a.indices) remaining[l] -= 1;
-    for (Level l : b.indices) remaining[l] -= 1;
-
-    const auto all = union_indices(a.indices, b.indices);
-    std::vector<Level> gamma;
-    for (Level l : all) {
-      if (remaining[l] == 0) gamma.push_back(l);
-    }
-    Tensor merged;
-    merged.edge = mgr.contract(a.edge, b.edge, gamma);
-    merged.indices = minus_indices(all, gamma);
-    for (Level l : merged.indices) remaining[l] += 1;
-    tdd::record_peak(ctx, merged.edge);
-    slots.push_back(std::move(merged));
-  }
-  return finalize(mgr, std::move(slots.back()), keep, ctx);
-}
-
-}  // namespace
-
-Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
-                        const std::vector<Level>& keep, ExecutionContext* ctx,
-                        OrderPolicy policy) {
-  require(!tensors.empty(), "contract_network needs at least one tensor");
-  if (policy == OrderPolicy::kCaller || tensors.size() < 3) {
-    // With fewer than three tensors every order is the caller order.
-    return fold_caller_order(mgr, tensors, keep, ctx);
-  }
-  return execute_plan(mgr, tensors, keep, ctx, plan_order(tensors, keep, policy, ctx));
-}
-
-Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
-                        const std::vector<Level>& keep, ExecutionContext* ctx,
-                        const ContractionPlan& plan) {
-  require(!tensors.empty(), "contract_network needs at least one tensor");
-  if (plan.steps.empty() && tensors.size() == 1) {
-    return finalize(mgr, tensors.front(), keep, ctx);
-  }
-  return execute_plan(mgr, tensors, keep, ctx, plan);
 }
 
 }  // namespace qts::tn

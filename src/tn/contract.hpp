@@ -1,13 +1,12 @@
 /// \file contract.hpp
-/// Tensor-network contraction with correct index bookkeeping and a
-/// cost-driven choice of contraction order (see tn/order.hpp).
+/// Tensor-network contraction with correct index bookkeeping, folded left
+/// to right in the caller's order.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "common/execution_context.hpp"
-#include "tn/order.hpp"
 #include "tn/tensor.hpp"
 
 namespace qts::tn {
@@ -19,21 +18,13 @@ namespace qts::tn {
 /// every intermediate's size on `ctx` and honours its deadline (ctx may be
 /// null).
 ///
-/// `policy` chooses the pairwise merge order (tn/order.hpp).  The default
-/// is the greedy min-width planner; OrderPolicy::kCaller restores the
-/// historical left-to-right fold with zero planning overhead.  Because
-/// reduced TDDs are canonical the returned tensor is bit-identical under
-/// every policy — only intermediate sizes and wall-clock change.
+/// The merge order is the paper's: the accumulator starts as `tensors[0]`
+/// and absorbs the others one at a time, left to right.  Callers choose the
+/// order by how they list the tensors — circuit order for a monolithic
+/// operator, (window, group) order for partition blocks, the ket first for a
+/// push through prepared operators.
 Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
-                        const std::vector<tdd::Level>& keep, ExecutionContext* ctx = nullptr,
-                        OrderPolicy policy = OrderPolicy::kGreedy);
-
-/// Same contraction under a precomputed plan (plan_order on the same index
-/// sets + keep).  This is the fixpoint hot path: ImageComputer plans once
-/// per prepared circuit and replays the plan for every Kraus application.
-Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
-                        const std::vector<tdd::Level>& keep, ExecutionContext* ctx,
-                        const ContractionPlan& plan);
+                        const std::vector<tdd::Level>& keep, ExecutionContext* ctx = nullptr);
 
 /// Σ over one index: slice at 0 and 1 and add.
 tdd::Edge sum_out(tdd::Manager& mgr, const tdd::Edge& e, tdd::Level level);

@@ -4,8 +4,8 @@
 /// The declared indices matter independently of the diagram: a reduced TDD
 /// has no node for a variable the tensor does not depend on, yet contraction
 /// over that variable still contributes a factor 2 per the tensor-network
-/// semantics.  Keeping the index set explicit is what makes the contraction
-/// planner correct.
+/// semantics.  Keeping the index set explicit is what makes contraction
+/// correct.
 #pragma once
 
 #include <vector>

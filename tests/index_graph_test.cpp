@@ -1,8 +1,7 @@
 /// \file index_graph_test.cpp
 /// Direct unit suite for IndexGraph (tn/index_graph.hpp): the sorted-unique
-/// vector adjacency, the contracted-pair width metric the planner leans on,
-/// and determinism of top_degree.  tn_test.cpp covers the Fig. 5 paper
-/// claims; this file pins the accessor contracts themselves.
+/// vector adjacency and determinism of top_degree.  tn_test.cpp covers the
+/// Fig. 5 paper claims; this file pins the accessor contracts themselves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,59 +46,17 @@ TEST(IndexGraphDirect, AdjacencyIsSymmetric) {
   }
 }
 
-TEST(IndexGraphDirect, ContractedWidthHandComputed) {
-  // cx(0,1): clique over {q0.t0, q1.t0, q1.t1} (the control index is
-  // reused, so qubit 0 contributes a single vertex).
-  circ::Circuit c(2);
-  c.cx(0, 1);
-  const IndexGraph g = graph_of(c);
-  const Level a = tdd::wire_level(0, 0);
-  const Level b = tdd::wire_level(1, 0);
-  const Level b1 = tdd::wire_level(1, 1);
-  // N(a) = {b, b1}, N(b) = {a, b1}: merging {a, b} leaves only b1 outside.
-  EXPECT_EQ(g.contracted_width(a, b), 1u);
-  // N(a) ∪ N(b1) \ {a, b1} = {b}.
-  EXPECT_EQ(g.contracted_width(a, b1), 1u);
-}
-
-TEST(IndexGraphDirect, ContractedWidthExcludesBothEndpointsOnly) {
-  // Two gates sharing the control make q0.t0 a hyperedge vertex:
-  // N(q0.t0) = {q1.t0, q1.t1, q2.t0, q2.t1}.
-  circ::Circuit c(3);
-  c.cx(0, 1).cx(0, 2);
-  const IndexGraph g = graph_of(c);
-  const Level ctrl = tdd::wire_level(0, 0);
-  const Level q1in = tdd::wire_level(1, 0);
-  // N(ctrl) ∪ N(q1in) \ {ctrl, q1in} = {q1.t1, q2.t0, q2.t1}.
-  EXPECT_EQ(g.contracted_width(ctrl, q1in), 3u);
-  // Merging the two target wires of ONE gate: everything else they touch
-  // is the shared control plus the other gate's targets through it — none,
-  // N(q1.t0) = {ctrl, q1.t1}, N(q1.t1) = {ctrl, q1.t0} → just {ctrl}.
-  EXPECT_EQ(g.contracted_width(q1in, tdd::wire_level(1, 1)), 1u);
-}
-
-TEST(IndexGraphDirect, ContractedWidthIsSymmetric) {
-  const IndexGraph g = graph_of(circ::make_qft(4));
-  const std::vector<Level> vs = g.vertices();
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    for (std::size_t j = i + 1; j < vs.size(); ++j) {
-      EXPECT_EQ(g.contracted_width(vs[i], vs[j]), g.contracted_width(vs[j], vs[i]));
-    }
-  }
-}
-
-TEST(IndexGraphDirect, IsolatedVerticesHaveZeroWidthPairs) {
+TEST(IndexGraphDirect, IsolatedVerticesHaveNoNeighbours) {
   circ::Circuit c(3);
   c.h(0);  // qubits 1 and 2 untouched: isolated state-level vertices
   const IndexGraph g = graph_of(c);
-  const Level i1 = tdd::state_level(1);
-  const Level i2 = tdd::state_level(2);
-  EXPECT_EQ(g.degree(i1), 0u);
-  EXPECT_TRUE(g.neighbours(i1).empty());
-  EXPECT_EQ(g.contracted_width(i1, i2), 0u);
-  // Isolated + connected: the width is the connected side's other
-  // neighbours.  N(q0.t0) = {q0.t1}.
-  EXPECT_EQ(g.contracted_width(i1, tdd::wire_level(0, 0)), 1u);
+  for (const Level v : {tdd::state_level(1), tdd::state_level(2)}) {
+    EXPECT_EQ(g.degree(v), 0u);
+    EXPECT_TRUE(g.neighbours(v).empty());
+  }
+  // The gate's own wire is connected: N(q0.t0) = {q0.t1}.
+  EXPECT_EQ(g.neighbours(tdd::wire_level(0, 0)),
+            std::vector<Level>{tdd::wire_level(0, 1)});
 }
 
 TEST(IndexGraphDirect, TopDegreeDeterministicAndTieBrokenBySmallerLevel) {

@@ -64,17 +64,6 @@
 ///                                          become per-job defaults.
 ///   --k K                                  addition slices (default 1)
 ///   --k1 K --k2 K                          contraction cut (default 4 4)
-///   --order caller|greedy|exact            contraction-order policy for the
-///                                          engine's tensor-network work
-///                                          (tn/order.hpp): greedy = min-width
-///                                          planner (the default), caller =
-///                                          the historical circuit-order fold,
-///                                          exact = optimal subset-DP order
-///                                          for small networks (greedy above
-///                                          12 tensors).  Results are
-///                                          bit-identical under every policy;
-///                                          only intermediate sizes and
-///                                          wall-clock change
 ///   --initial BITSTRING[,BITSTRING...]     initial basis kets (default 0…0)
 ///   --noise CHANNEL:P:QUBIT                append a noise channel, e.g.
 ///                                          bitflip:0.1:0 or depol:0.05:2
@@ -191,8 +180,6 @@ struct Options {
   EngineSpec engine;
   bool cross_check = false;
   EngineSpec oracle;
-  bool has_order = false;
-  tn::OrderPolicy order = tn::OrderPolicy::kGreedy;
   std::vector<std::string> initial;
   std::vector<std::string> noise;
   std::size_t steps = 64;
@@ -243,9 +230,6 @@ struct UsageError {
                                          severe per-job code
   --k K                                  addition-partition slices (default 1)
   --k1 K --k2 K                          contraction cut parameters (default 4 4)
-  --order caller|greedy|exact            contraction-order policy (default greedy
-                                         min-width planner; caller = circuit-order
-                                         fold; exact = optimal DP, <= 12 tensors)
   --initial BITS[,BITS...]               initial basis kets (default all zeros)
   --noise CHANNEL:P:QUBIT                bitflip|phaseflip|depol|damp channel
   --steps N                              fixpoint iteration cap (default 64)
@@ -316,11 +300,6 @@ Options parse_args(const std::vector<std::string>& args) {
       opt.engine.k1 = static_cast<std::uint32_t>(parse_count(a, next(), 0xFFFFFFFFu));
     } else if (a == "--k2") {
       opt.engine.k2 = static_cast<std::uint32_t>(parse_count(a, next(), 0xFFFFFFFFu));
-    } else if (a == "--order") {
-      // Strict parse: "--order bogus" is a usage error (exit 2), like every
-      // other malformed flag value.
-      opt.order = tn::parse_order_policy(next());
-      opt.has_order = true;
     } else if (a == "--initial") {
       opt.initial = split(next(), ",");
     } else if (a == "--noise") {
@@ -454,13 +433,11 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
                        {QuantumOperation{"step", kraus}}};
 
   const std::unique_ptr<ImageComputer> computer = make_engine(mgr, opt.engine, &ctx);
-  if (opt.has_order) computer->set_order_policy(opt.order);
   // The oracle shares the manager and context: FixpointDriver::set_oracle
   // requires the former, and the latter folds its work into one stats line.
   std::unique_ptr<ImageComputer> oracle;
   if (opt.cross_check) {
     oracle = make_engine(mgr, opt.oracle, &ctx);
-    if (opt.has_order) oracle->set_order_policy(opt.order);
   }
 
   if (!quiet) {
@@ -614,12 +591,6 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
       // sums on join, audited_nodes max-merges.
       std::cout << "audit:   " << s.audits_run << " audit(s) clean, largest walked "
                 << s.audited_nodes << " node(s)\n";
-    }
-    if (s.plans_computed > 0) {
-      std::cout << "planner: " << to_string(computer->order_policy()) << " policy, "
-                << s.plans_computed << " network(s) planned in "
-                << format_fixed(s.plan_seconds * 1e3, 2) << " ms, max order width "
-                << s.plan_max_width << "\n";
     }
     if (cache != nullptr && (s.cache_hits + s.cache_misses) > 0) {
       // One line per the caching contract: hit = the fixpoint was skipped,
