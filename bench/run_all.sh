@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Rebuild Release and refresh every BENCH_*.json baseline in the repo root,
-# or check the paper tables against the committed baselines.
+# or check every baseline against a fresh run.
 #
 #   bench/run_all.sh                # configure+build ${BUILD_DIR:-build}, run all
-#   bench/run_all.sh --check        # rerun bench_table1/2 in a temp dir and
+#   bench/run_all.sh --check        # rerun all harnesses in a temp dir and
 #                                   # compare with the committed JSON
 #   BUILD_DIR=out bench/run_all.sh  # use a different build tree
 #   SKIP_BUILD=1 bench/run_all.sh   # binaries are already fresh (bench_all target)
@@ -12,8 +12,9 @@
 # refresh always runs them from the repository root — the committed
 # baselines live there and a run refreshes them in place.
 #
-# --check leaves the committed files alone.  It fails if any row's name set,
-# peak_nodes or timeout flag differs from the committed JSON; these are
+# --check leaves the committed files alone.  It fails if any file's row
+# name set, or any row's peak_nodes, table_nodes, timeout flag or
+# degradation count, differs from the committed JSON; these are
 # machine-independent.  Wall time is reported, not gated.
 set -euo pipefail
 
@@ -32,13 +33,12 @@ if [[ "${SKIP_BUILD:-0}" != "1" ]]; then
   cmake --build "$build" -j"$(nproc)"
 fi
 
+benches=(bench_table1 bench_table2 bench_ablation bench_parallel bench_reachability
+         bench_statevector bench_sparse bench_cache)
 if [[ $check == 1 ]]; then
-  benches=(bench_table1 bench_table2)
   workdir="$(mktemp -d)"
   trap 'rm -rf "$workdir"' EXIT
 else
-  benches=(bench_table1 bench_table2 bench_ablation bench_parallel bench_reachability
-           bench_statevector bench_sparse bench_cache)
   workdir="$root"
 fi
 
@@ -73,7 +73,7 @@ bad = []
 for name in sorted(committed.keys() ^ fresh.keys()):
     bad.append(f"{name}: only in {'committed' if name in committed else 'fresh'} run")
 for name in sorted(committed.keys() & fresh.keys()):
-    for field in ("peak_nodes", "timeout"):
+    for field in ("peak_nodes", "table_nodes", "timeout", "degradations"):
         if committed[name][field] != fresh[name][field]:
             bad.append(f"{name}: {field} committed {committed[name][field]}, "
                        f"fresh {fresh[name][field]}")

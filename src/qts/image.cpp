@@ -1,6 +1,8 @@
 #include "qts/image.hpp"
 
-#include <algorithm>
+#include <utility>
+
+#include "tn/partition.hpp"
 
 namespace qts {
 
@@ -73,135 +75,63 @@ const ImageComputer::Prepared& ImageComputer::prepared_for(const circ::Circuit& 
   return *it->second;
 }
 
-ImageComputer::PushPlan ImageComputer::make_push_plan(const tn::CircuitNetwork& net) {
+// ---------------------------------------------------------------------------
+// PartitionImage
+
+struct PartitionImage::Operator : ImageComputer::Prepared {
   PushPlan push;
-  push.state = state_levels(net.num_qubits);
-  push.keep = net.outputs;
-  std::sort(push.keep.begin(), push.keep.end());
-  push.keep.erase(std::unique(push.keep.begin(), push.keep.end()), push.keep.end());
-  push.rename = tn::output_to_state_map(net);
-  return push;
-}
-
-Edge ImageComputer::push_through(const tn::CircuitNetwork& net,
-                                 const std::vector<tn::Tensor>& ops, const Edge& ket,
-                                 const PushPlan& push) {
-  Edge result;
-  if (ops.empty()) {
-    result = ket;
-  } else {
-    std::vector<tn::Tensor> tensors;
-    tensors.reserve(ops.size() + 1);
-    tensors.push_back(tn::Tensor{ket, push.state});
-    tensors.insert(tensors.end(), ops.begin(), ops.end());
-    tn::Tensor out = tn::contract_network(mgr_, tensors, push.keep, ctx_);
-    result = mgr_.rename(out.edge, push.rename);
-  }
-  return mgr_.scale(result, net.factor);
-}
-
-// ---------------------------------------------------------------------------
-// BasicImage
-
-struct BasicImage::Mono : ImageComputer::Prepared {
-  tn::CircuitNetwork net;  // tensors cleared after pre-contraction
-  std::vector<tn::Tensor> op;
-  ImageComputer::PushPlan push;
+  Terms terms;  // one empty term for a circuit without gate tensors
 
   void collect_roots(std::vector<tdd::Edge>& out) const override {
-    for (const auto& t : op) out.push_back(t.edge);
-  }
-};
-
-std::unique_ptr<ImageComputer::Prepared> BasicImage::prepare(const circ::Circuit& kraus) {
-  auto mono = std::make_unique<Mono>();
-  mono->net = tn::build_network(mgr_, kraus);
-  if (!mono->net.tensors.empty()) {
-    const auto keep = mono->net.external_indices();
-    mono->op.push_back(tn::contract_network(mgr_, mono->net.tensors, keep, ctx_));
-  }
-  mono->push = make_push_plan(mono->net);
-  mono->net.tensors.clear();
-  return mono;
-}
-
-Edge BasicImage::apply(const Prepared& prep, const Edge& ket, std::uint32_t) {
-  const auto& mono = static_cast<const Mono&>(prep);
-  return push_through(mono.net, mono.op, ket, mono.push);
-}
-
-// ---------------------------------------------------------------------------
-// AdditionImage
-
-struct AdditionImage::Parts : ImageComputer::Prepared {
-  tn::CircuitNetwork net;
-  std::vector<tn::Tensor> parts;  // each = one pre-contracted slice ϕ_i
-  ImageComputer::PushPlan push;
-
-  void collect_roots(std::vector<tdd::Edge>& out) const override {
-    for (const auto& t : parts) out.push_back(t.edge);
-  }
-};
-
-std::unique_ptr<ImageComputer::Prepared> AdditionImage::prepare(const circ::Circuit& kraus) {
-  auto out = std::make_unique<Parts>();
-  out->net = tn::build_network(mgr_, kraus);
-  if (!out->net.tensors.empty()) {
-    const auto part = tn::addition_partition(mgr_, out->net, k_);
-    const auto keep = out->net.external_indices();
-    for (const auto& slice : part.slices) {
-      ctx_->check_deadline();
-      out->parts.push_back(tn::contract_network(mgr_, slice.tensors, keep, ctx_));
+    for (const auto& term : terms) {
+      for (const auto& t : term) out.push_back(t.edge);
     }
   }
-  out->push = make_push_plan(out->net);
-  out->net.tensors.clear();
-  return out;
+};
+
+std::unique_ptr<ImageComputer::Prepared> PartitionImage::prepare(const circ::Circuit& kraus) {
+  auto op = std::make_unique<Operator>();
+  const tn::CircuitNetwork net = tn::build_network(mgr_, kraus);
+  op->terms = net.tensors.empty() ? Terms(1) : pre_contract(net);
+  op->push = make_push_plan(net);
+  return op;
 }
 
-Edge AdditionImage::apply(const Prepared& prep, const Edge& ket, std::uint32_t) {
-  const auto& pp = static_cast<const Parts&>(prep);
-  if (pp.parts.empty()) return push_through(pp.net, {}, ket, pp.push);
-  // cont(ψ, ϕ) = Σ_i cont(ψ, ϕ_i): each slice is contracted with the state
+Edge PartitionImage::apply(const Prepared& prep, const Edge& ket, std::uint32_t) {
+  const auto& op = static_cast<const Operator&>(prep);
+  if (op.terms.size() == 1) return push_through(mgr_, op.push, op.terms.front(), ket, ctx_);
+  // cont(ψ, ϕ) = Σ_i cont(ψ, ϕ_i): each term is contracted with the state
   // independently and the (already renamed) results are accumulated.
   Edge acc = mgr_.zero();
-  for (const auto& part : pp.parts) {
+  for (const auto& term : op.terms) {
     ctx_->check_deadline();
-    const Edge contribution = push_through(pp.net, {part}, ket, pp.push);
-    acc = mgr_.add(acc, contribution);
+    acc = mgr_.add(acc, push_through(mgr_, op.push, term, ket, ctx_));
     tdd::record_peak(ctx_, acc);
   }
   return acc;
 }
 
-// ---------------------------------------------------------------------------
-// ContractionImage
-
-struct ContractionImage::Blocks : ImageComputer::Prepared {
-  tn::CircuitNetwork net;
-  std::vector<tn::Tensor> blocks;  // (window, group)-ordered block tensors
-  ImageComputer::PushPlan push;
-
-  void collect_roots(std::vector<tdd::Edge>& out) const override {
-    for (const auto& t : blocks) out.push_back(t.edge);
-  }
-};
-
-std::unique_ptr<ImageComputer::Prepared> ContractionImage::prepare(const circ::Circuit& kraus) {
-  auto out = std::make_unique<Blocks>();
-  out->net = tn::build_network(mgr_, kraus);
-  if (!out->net.tensors.empty()) {
-    const auto blocks = tn::contraction_partition(mgr_, out->net, k1_, k2_, ctx_);
-    for (const auto& b : blocks) out->blocks.push_back(b.tensor);
-  }
-  out->push = make_push_plan(out->net);
-  out->net.tensors.clear();
-  return out;
+PartitionImage::Terms BasicImage::pre_contract(const tn::CircuitNetwork& net) {
+  return {{tn::contract_network(mgr_, net.tensors, net.external_indices(), ctx_)}};
 }
 
-Edge ContractionImage::apply(const Prepared& prep, const Edge& ket, std::uint32_t) {
-  const auto& bb = static_cast<const Blocks&>(prep);
-  return push_through(bb.net, bb.blocks, ket, bb.push);
+PartitionImage::Terms AdditionImage::pre_contract(const tn::CircuitNetwork& net) {
+  const auto part = tn::addition_partition(mgr_, net, k_);
+  const auto keep = net.external_indices();
+  Terms terms;
+  for (const auto& slice : part.slices) {
+    ctx_->check_deadline();
+    terms.push_back({tn::contract_network(mgr_, slice.tensors, keep, ctx_)});
+  }
+  return terms;
+}
+
+PartitionImage::Terms ContractionImage::pre_contract(const tn::CircuitNetwork& net) {
+  Terms terms(1);
+  for (auto& b : tn::contraction_partition(mgr_, net, k1_, k2_, ctx_)) {
+    terms.front().push_back(std::move(b.tensor));
+  }
+  return terms;
 }
 
 }  // namespace qts

@@ -1,19 +1,20 @@
 /// \file image.hpp
 /// The paper's three image computation algorithms.
 ///
-/// All three share the outer loop of Algorithm 1: decompose the input
+/// All three share the outer loop of Algorithm 1 — decompose the input
 /// subspace into a basis, push every basis state through every Kraus
-/// operator, and join the resulting rays.  They differ in how a Kraus
-/// circuit is applied to a state:
+/// operator, and join the resulting rays — and the push itself.  They differ
+/// only in what they pre-contract from a Kraus circuit before pushing kets
+/// through it (PartitionImage::pre_contract):
 ///
-///   * BasicImage (§IV-C) pre-contracts the whole circuit into one
-///     monolithic operator TDD and contracts the state against it;
+///   * BasicImage (§IV-C) contracts the whole circuit into one monolithic
+///     operator TDD;
 ///   * AdditionImage (§V-A) slices the k highest-degree indices of the
 ///     circuit's index graph into 2^k pre-contracted parts ϕᵢ and uses
 ///     cont(ψ, ϕ) = Σᵢ cont(ψ, ϕᵢ);
 ///   * ContractionImage (§V-B) cuts the circuit into (k1, k2) blocks kept
-///     as a tensor network, and contracts the state through the blocks
-///     without ever materialising the monolithic operator.
+///     as a tensor network, so the monolithic operator is never
+///     materialised.
 #pragma once
 
 #include <cstddef>
@@ -24,10 +25,10 @@
 #include <vector>
 
 #include "common/execution_context.hpp"
+#include "qts/simulate.hpp"
 #include "qts/system.hpp"
 #include "tn/circuit_tensors.hpp"
 #include "tn/contract.hpp"
-#include "tn/partition.hpp"
 
 namespace qts {
 
@@ -84,10 +85,6 @@ class ImageComputer {
   /// The run-control spine this computer reports through.
   [[nodiscard]] ExecutionContext& context() const { return *ctx_; }
 
-  /// Point the computer at a different spine (nullptr restores the private
-  /// default).  Does not rebind the manager.
-  void set_context(ExecutionContext* ctx) { ctx_ = ctx != nullptr ? ctx : &own_ctx_; }
-
   /// Cooperative wall-clock budget; DeadlineExceeded is thrown when spent.
   void set_deadline(const Deadline& d) { ctx_->set_deadline(d); }
 
@@ -111,22 +108,11 @@ class ImageComputer {
   [[nodiscard]] tdd::Manager& manager() const { return mgr_; }
 
  protected:
-  /// Per-Kraus-circuit pre-processing result (operator TDD / slices / blocks).
+  /// Per-Kraus-circuit pre-processing result, cached by prepared_for().
   struct Prepared {
     virtual ~Prepared() = default;
     /// Append every TDD edge this prepared operator keeps alive.
     virtual void collect_roots(std::vector<tdd::Edge>& out) const = 0;
-  };
-
-  /// Everything about a push that depends only on the prepared circuit, not
-  /// the ket: the canonical state levels, the sorted duplicate-free keep
-  /// set and the output→state rename map.  Computed once in prepare() and
-  /// reused on every Kraus application of the fixpoint, so the hot path
-  /// never re-sorts the keep set or rebuilds the rename map.
-  struct PushPlan {
-    std::vector<tdd::Level> state;                          ///< state_levels(n)
-    std::vector<tdd::Level> keep;                           ///< net outputs, sorted unique
-    std::vector<std::pair<tdd::Level, tdd::Level>> rename;  ///< output→state map
   };
 
   virtual std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) = 0;
@@ -135,15 +121,6 @@ class ImageComputer {
   /// the result is the (unnormalised) image ket on the same levels.
   virtual tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket,
                           std::uint32_t num_qubits) = 0;
-
-  /// Build the push plan for pushing a ket through `net`'s prepared operators.
-  static PushPlan make_push_plan(const tn::CircuitNetwork& net);
-
-  /// Contract ψ against extra tensors, ket first, then rename outputs back
-  /// to the state levels and apply the circuit factor.  Shared helper for
-  /// the subclasses.
-  tdd::Edge push_through(const tn::CircuitNetwork& net, const std::vector<tn::Tensor>& ops,
-                         const tdd::Edge& ket, const PushPlan& push);
 
   const Prepared& prepared_for(const circ::Circuit& kraus);
 
@@ -155,49 +132,65 @@ class ImageComputer {
   std::unordered_map<const circ::Circuit*, std::unique_ptr<Prepared>> prepared_;
 };
 
-/// Algorithm 1: monolithic operator TDD per Kraus circuit.
-class BasicImage final : public ImageComputer {
+/// The paper's algorithms: a Kraus circuit is prepared once into a push plan
+/// plus a sum of tensor lists, and a ket's image is the sum of its pushes
+/// through those lists.  Subclasses choose only the tensor lists.
+class PartitionImage : public ImageComputer {
  public:
   using ImageComputer::ImageComputer;
+
+ protected:
+  /// Σ over terms of push(term): each term is a tensor list whose network
+  /// contracts to that term's share of the circuit tensor.
+  using Terms = std::vector<std::vector<tn::Tensor>>;
+
+  /// What to push kets through, for a circuit network with at least one
+  /// gate tensor.
+  virtual Terms pre_contract(const tn::CircuitNetwork& net) = 0;
+
+ private:
+  struct Operator;
+  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) final;
+  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) final;
+};
+
+/// Algorithm 1: monolithic operator TDD per Kraus circuit.
+class BasicImage final : public PartitionImage {
+ public:
+  using PartitionImage::PartitionImage;
   [[nodiscard]] std::string name() const override { return "basic"; }
 
  protected:
-  struct Mono;
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
+  Terms pre_contract(const tn::CircuitNetwork& net) override;
 };
 
 /// §V-A: addition partition with k sliced indices (2^k parts).
-class AdditionImage final : public ImageComputer {
+class AdditionImage final : public PartitionImage {
  public:
   AdditionImage(tdd::Manager& mgr, std::size_t k, ExecutionContext* ctx = nullptr)
-      : ImageComputer(mgr, ctx), k_(k) {}
+      : PartitionImage(mgr, ctx), k_(k) {}
   [[nodiscard]] std::string name() const override { return "addition"; }
   [[nodiscard]] std::size_t k() const { return k_; }
 
  protected:
-  struct Parts;
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
+  Terms pre_contract(const tn::CircuitNetwork& net) override;
 
  private:
   std::size_t k_;
 };
 
 /// §V-B: contraction partition with parameters (k1, k2).
-class ContractionImage final : public ImageComputer {
+class ContractionImage final : public PartitionImage {
  public:
   ContractionImage(tdd::Manager& mgr, std::uint32_t k1, std::uint32_t k2,
                    ExecutionContext* ctx = nullptr)
-      : ImageComputer(mgr, ctx), k1_(k1), k2_(k2) {}
+      : PartitionImage(mgr, ctx), k1_(k1), k2_(k2) {}
   [[nodiscard]] std::string name() const override { return "contraction"; }
   [[nodiscard]] std::uint32_t k1() const { return k1_; }
   [[nodiscard]] std::uint32_t k2() const { return k2_; }
 
  protected:
-  struct Blocks;
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
+  Terms pre_contract(const tn::CircuitNetwork& net) override;
 
  private:
   std::uint32_t k1_;

@@ -24,7 +24,6 @@ check() {
 }
 
 # 0 — successful analyses, every engine spelling.
-check 0 "$QTSMC" reach --method contraction "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine contraction:2,2 --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" image --engine basic "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" back --engine addition:1 --steps 4 "$EXAMPLES/ghz.qasm"
@@ -44,15 +43,18 @@ check 0 "$QTSMC" reach --engine parallel:2,sparse "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" image --engine sparse --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" --engines
 
-# 2 — there is one contraction order, so --order is an unknown option.
-check 2 "$QTSMC" reach --order greedy "$EXAMPLES/ghz.qasm"
-if "$QTSMC" reach --order greedy "$EXAMPLES/ghz.qasm" 2>&1 >/dev/null |
-    grep -q 'unknown option --order'; then
-  echo "ok: --order is reported as an unknown option"
-else
-  echo "FAIL: --order was not reported as an unknown option" >&2
-  failures=$((failures + 1))
-fi
+# 2 — --engine is the only engine grammar (no --method/--k shorthand that
+# bypasses spec validation) and there is one contraction order (no --order).
+for option in "--method contraction" "--order greedy"; do
+  check 2 "$QTSMC" reach $option "$EXAMPLES/ghz.qasm"
+  if "$QTSMC" reach $option "$EXAMPLES/ghz.qasm" 2>&1 >/dev/null |
+      grep -q "unknown option ${option% *}\$"; then
+    echo "ok: ${option% *} is reported as an unknown option"
+  else
+    echo "FAIL: ${option% *} was not reported as an unknown option" >&2
+    failures=$((failures + 1))
+  fi
+done
 
 # The sparse engine works past the dense qubit cap (ghz16.qasm is 16 qubits:
 # the statevector engine refuses with the resource-exhausted code, the sparse
@@ -155,7 +157,7 @@ check 2 "$QTSMC" reach --steps 10x "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --steps -1 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --gc-nodes -1 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --gc-nodes 64k "$EXAMPLES/ghz.qasm"
-check 2 "$QTSMC" reach --k1 2x --k2 2 --method contraction "$EXAMPLES/ghz.qasm"
+check 2 "$QTSMC" reach --engine contraction:2x,2 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --timeout 5x "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --timeout 0x10 "$EXAMPLES/ghz.qasm"  # no hexfloats
 check 2 "$QTSMC" reach --noise depol:0x1:0 "$EXAMPLES/ghz.qasm"

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "qts/engine.hpp"
 #include "qts/image.hpp"
@@ -116,18 +117,38 @@ std::size_t default_engine_peak(const std::function<TransitionSystem(tdd::Manage
 }
 
 TEST(ShapeClaims, DefaultEnginesMatchCommittedTablePeaks) {
-  // The paper's headline: under its contraction order the QFT peak stays
-  // linear in the width.  Exact peak_nodes of committed table rows.
-  EXPECT_EQ(default_engine_peak([](tdd::Manager& m) { return make_qft_system(m, 15); },
-                                "contraction:4,4"),
-            20u);  // BENCH_table1 QFT15/contraction:4,4
-  EXPECT_EQ(default_engine_peak([](tdd::Manager& m) { return make_qft_system(m, 30); },
-                                "contraction:4,4"),
-            30u);  // BENCH_table1 QFT30/contraction:4,4
-  EXPECT_EQ(default_engine_peak(
-                [](tdd::Manager& m) { return make_grover_decomposed_system(m, 15); },
-                "contraction:1,1"),
-            57u);  // BENCH_table2 grover15d/contraction:1,1
+  // Exact peak_nodes of committed table rows, for each of the paper's three
+  // engines.  The headline: under the paper's contraction order the QFT peak
+  // stays linear in the width, while basic and addition grow exponentially.
+  using Make = std::function<TransitionSystem(tdd::Manager&)>;
+  const Make qft11 = [](tdd::Manager& m) { return make_qft_system(m, 11); };
+  const Make grover11d = [](tdd::Manager& m) { return make_grover_decomposed_system(m, 11); };
+  const Make qrw9 = [](tdd::Manager& m) { return make_qrw_system(m, 9, 0.1, true, 0); };
+  struct Row {
+    std::string bench_row;  // "<file> <row name>" of the committed record
+    Make make;
+    std::string spec;
+    std::size_t peak;
+  };
+  const std::vector<Row> rows = {
+      {"BENCH_table1 QFT11", qft11, "basic", 4094},
+      {"BENCH_table1 QFT11", qft11, "addition:1", 2048},
+      {"BENCH_table1 GroverD11", grover11d, "basic", 1060},
+      {"BENCH_table1 GroverD11", grover11d, "addition:1", 1194},
+      {"BENCH_table1 QRW9", qrw9, "basic", 86},
+      {"BENCH_table1 QRW9", qrw9, "addition:1", 59},
+      {"BENCH_table1 QFT15", [](tdd::Manager& m) { return make_qft_system(m, 15); },
+       "contraction:4,4", 20},
+      {"BENCH_table1 QFT30", [](tdd::Manager& m) { return make_qft_system(m, 30); },
+       "contraction:4,4", 30},
+      {"BENCH_table2 grover15d",
+       [](tdd::Manager& m) { return make_grover_decomposed_system(m, 15); }, "contraction:1,1",
+       57},
+  };
+  for (const auto& row : rows) {
+    EXPECT_EQ(default_engine_peak(row.make, row.spec), row.peak)
+        << row.bench_row << "/" << row.spec;
+  }
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 ///                                          spec on resource exhaustion,
 ///                                          resuming from the last completed
 ///                                          iteration
-///   --method basic|addition|contraction    shorthand for --engine METHOD
 ///   --cross-check SPEC                     run a second engine as a differential
 ///                                          oracle: frontier dims, survivor
 ///                                          counts and the final subspace are
@@ -62,8 +61,6 @@
 ///                                          severe per-job code.  Top-level
 ///                                          --cache/--timeout/--stats/--verbose
 ///                                          become per-job defaults.
-///   --k K                                  addition slices (default 1)
-///   --k1 K --k2 K                          contraction cut (default 4 4)
 ///   --initial BITSTRING[,BITSTRING...]     initial basis kets (default 0…0)
 ///   --noise CHANNEL:P:QUBIT                append a noise channel, e.g.
 ///                                          bitflip:0.1:0 or depol:0.05:2
@@ -213,7 +210,6 @@ struct UsageError {
                                          non-zeros per ket) |
                                          fallback:specA;specB[;...] (degrade to
                                          the next spec on resource exhaustion)
-  --method basic|addition|contraction    shorthand for --engine METHOD
   --cross-check SPEC                     differential oracle engine; divergence
                                          from the primary engine exits 4
                                          (SPEC "null" = deliberately wrong
@@ -228,8 +224,6 @@ struct UsageError {
                                          FILE over a shared manager; per-job
                                          report lines; exits with the most
                                          severe per-job code
-  --k K                                  addition-partition slices (default 1)
-  --k1 K --k2 K                          contraction cut parameters (default 4 4)
   --initial BITS[,BITS...]               initial basis kets (default all zeros)
   --noise CHANNEL:P:QUBIT                bitflip|phaseflip|depol|damp channel
   --steps N                              fixpoint iteration cap (default 64)
@@ -256,13 +250,10 @@ exit codes: 0 success/holds, 1 property violated, 2 usage or parse error,
 /// std::stoul silently accepted trailing garbage ("--steps 10x" ran 10
 /// steps) and wrapped negatives ("--gc-nodes -1" became a huge threshold);
 /// anything but pure digits is now a usage error (exit 2).
-std::uint64_t parse_count(const std::string& flag, const std::string& text,
-                          std::uint64_t max_value = ~std::uint64_t{0}) {
+std::uint64_t parse_count(const std::string& flag, const std::string& text) {
   const auto value = parse_uint(text);
-  if (!value.has_value() || *value > max_value) {
-    throw UsageError{flag + " expects a non-negative integer" +
-                     (max_value == ~std::uint64_t{0} ? "" : " <= " + std::to_string(max_value)) +
-                     ", got '" + text + "'"};
+  if (!value.has_value()) {
+    throw UsageError{flag + " expects a non-negative integer, got '" + text + "'"};
   }
   return *value;
 }
@@ -292,14 +283,6 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (a == "--cross-check") {
       opt.cross_check = true;
       opt.oracle = EngineSpec::parse(next());
-    } else if (a == "--method") {
-      opt.engine.method = next();
-    } else if (a == "--k") {
-      opt.engine.k = static_cast<std::size_t>(parse_count(a, next()));
-    } else if (a == "--k1") {
-      opt.engine.k1 = static_cast<std::uint32_t>(parse_count(a, next(), 0xFFFFFFFFu));
-    } else if (a == "--k2") {
-      opt.engine.k2 = static_cast<std::uint32_t>(parse_count(a, next(), 0xFFFFFFFFu));
     } else if (a == "--initial") {
       opt.initial = split(next(), ",");
     } else if (a == "--noise") {
